@@ -107,7 +107,8 @@ let method_ =
         ~doc:
           "Routing method: sliced (SATMAP), monolithic (NL-SATMAP), cyclic \
            (CYC-SATMAP, auto-detects the repeated body), or hybrid \
-           (optimal MaxSAT mapping + SABRE routing).")
+           (optimal MaxSAT mapping + SABRE routing; the same as --engine \
+           hybrid).")
 
 let parallel =
   Arg.(
@@ -294,16 +295,21 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
       Format.eprintf "route: a CIRCUIT.qasm argument is required@.";
       exit exit_parse_error
   in
-  let engine =
-    match engine with
-    | None -> None
-    | Some name -> (
-      match Engines.Catalog.find name with
-      | Some e -> Some e
-      | None ->
-        Format.eprintf "unknown engine %S; available engines:@.%a" name
-          print_engine_list ();
-        exit exit_parse_error)
+  let find_engine name =
+    match Engines.Catalog.find name with
+    | Some e -> e
+    | None ->
+      Format.eprintf "unknown engine %S; available engines:@.%a" name
+        print_engine_list ();
+      exit exit_parse_error
+  in
+  (* [--engine] wins over [-m]; [-m hybrid] is the registry's hybrid
+     engine. *)
+  let dispatch =
+    match (engine, method_) with
+    | Some name, _ -> `Engine (find_engine name)
+    | None, `Hybrid -> `Engine (find_engine "hybrid")
+    | None, ((`Monolithic | `Sliced | `Cyclic) as method_) -> `Router method_
   in
   let seed_placement =
     match seed_placement with
@@ -342,8 +348,8 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
     | Some `Qap -> Some (Engines.Qap.place device circuit)
     | None -> None
   in
-  match engine with
-  | Some e -> (
+  match dispatch with
+  | `Engine e -> (
     let ecfg =
       {
         Engines.Registry.default_config with
@@ -379,7 +385,7 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
           Quantum.Qasm.to_file path (Satmap.Routed.circuit routed);
           Format.printf "routed circuit written to %s@." path)
         output)
-  | None ->
+  | `Router method_ ->
   let config =
     {
       Satmap.Router.default_config with
@@ -406,27 +412,6 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
     match (method_, slice_size) with
     | `Monolithic, _ -> Satmap.Router.route_monolithic ~config device circuit
     | `Cyclic, s -> Satmap.Router.route_cyclic ~config ?slice_size:s device circuit
-    | `Hybrid, _ ->
-      let routed =
-        Heuristics.Hybrid.route
-          ~config:{ Heuristics.Hybrid.default_config with timeout }
-          device circuit
-      in
-      Satmap.Router.Routed
-        ( routed,
-          {
-            Satmap.Router.time = 0.0;
-            n_backtracks = 0;
-            n_blocks = 1;
-            proved_optimal = false;
-            escalations = 0;
-            maxsat_iterations = 0;
-            certified = false;
-            proofs_checked = 0;
-            proof_events = 0;
-            certify_time = 0.;
-            solver_calls = 0;
-          } )
     | `Sliced, Some s ->
       Satmap.Router.route_sliced ~config ~slice_size:s device circuit
     | `Sliced, None ->

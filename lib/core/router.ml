@@ -1,22 +1,28 @@
-(* The SATMAP routers.
+(* The SATMAP routers.  One block driver ([route_blocks]) solves a
+   sequence of blocks with one seam/backtrack/escalation loop; the paper's
+   three methods are its seam policies:
 
-   - [route_monolithic]   : NL-SATMAP — one MaxSAT instance for the whole
-                            circuit (Section IV).
-   - [route_sliced]       : SATMAP — the locally optimal relaxation with
-                            backtracking at the seams (Section V).
-   - [route_cyclic]       : CYC-SATMAP — solve one body with the
-                            final-map = initial-map constraint and stitch
-                            repetitions (Section VI); composes with
-                            slicing.
+   - [route_monolithic]   : NL-SATMAP — the whole circuit is one block
+                            (Section IV).
+   - [route_sliced]       : SATMAP — blocks of [slice_size] two-qubit
+                            gates, each pinned to the previous block's
+                            final map, backtracking at the seams
+                            (Section V).
+   - [route_cyclic_body]  : CYC-SATMAP — the body's last block is tied back
+                            to its first block's initial map, then the body
+                            is repeated (Section VI); composes with slicing.
+                            [route_cyclic] detects the body.
    - [route_portfolio]    : run several slice sizes, keep the cheapest
                             solution (how the paper reports SATMAP).
 
    All solvers are anytime: when the deadline interrupts the MaxSAT
    descent after a model was found, the best-so-far solution is used and
    the result is flagged as not proved optimal.  When a pinned seam makes
-   a block unsatisfiable and backtracking is exhausted, the swap budget n
-   for that block escalates (doubling, capped at the device diameter),
-   which restores completeness. *)
+   a block unsatisfiable, the block's swap budget n escalates first
+   (doubling, capped at the device diameter, which restores completeness);
+   only then does the driver backtrack into the previous block.  A cyclic
+   route never claims [proved_optimal]: its optimum is optimal only among
+   routes that return to their initial map. *)
 
 type config = {
   n_swaps : int;
@@ -169,11 +175,8 @@ type outcome =
   | Routed of Routed.t * stats
   | Failed of string
 
-let spec_of_config ?(n_swaps_override : int option) ?(post_slots = 0) config
-    device =
-  Encoding.spec
-    ~n_swaps:(Option.value n_swaps_override ~default:config.n_swaps)
-    ~post_slots ~amo:config.amo ~coalesce:config.coalesce
+let spec_of_config ~n_swaps ~post_slots config device =
+  Encoding.spec ~n_swaps ~post_slots ~amo:config.amo ~coalesce:config.coalesce
     ~inject_all_gate_layers:config.inject_all_gate_layers
     ~mobility:config.mobility ~objective:config.objective device
 
@@ -311,31 +314,16 @@ let slice_budget ~deadline ~now ~blocks_remaining =
    which sent the sliced router into pointless seam backtracking (and
    budget escalation) on blocks that were never infeasible. *)
 let classify_block_result ~config enc (result : Maxsat.Optimizer.result) =
-  let decode (o : Maxsat.Optimizer.outcome) =
+  let solved ~optimal (o : Maxsat.Optimizer.outcome) =
     let sol = Encoding.decode enc o.model in
-    match config.fault_injection with None -> sol | Some f -> f sol
+    let sol = match config.fault_injection with None -> sol | Some f -> f sol in
+    Block_solved
+      { enc; sol; optimal; iterations = o.iterations; cert = o.certificate }
   in
   match result with
-  | Maxsat.Optimizer.Optimal o ->
-    Block_solved
-      {
-        enc;
-        sol = decode o;
-        optimal = true;
-        iterations = o.iterations;
-        cert = o.certificate;
-      }
+  | Maxsat.Optimizer.Optimal o -> solved ~optimal:true o
   | Maxsat.Optimizer.Feasible o ->
-    if config.accept_feasible then
-      Block_solved
-        {
-          enc;
-          sol = decode o;
-          optimal = false;
-          iterations = o.iterations;
-          cert = o.certificate;
-        }
-    else Block_timeout
+    if config.accept_feasible then solved ~optimal:false o else Block_timeout
   | Maxsat.Optimizer.Unsatisfiable _ -> Block_unsat
   | Maxsat.Optimizer.Timeout -> Block_timeout
 
@@ -358,32 +346,56 @@ let effective_jobs config =
 (* Incremental sessions only serve the plain sequential path: parallel
    portfolios own their solvers, certification needs permanent bound
    clauses, and lint inspects a complete instance. *)
-let session_usable config =
-  effective_jobs config = 1 && (not config.certify) && not config.lint_blocks
-
 let session_for config =
-  if config.incremental && session_usable config then
+  if
+    config.incremental
+    && effective_jobs config = 1
+    && (not config.certify) && not config.lint_blocks
+  then
     match config.warm_session with
     | Some s -> Some s
     | None -> Some (Encoding.Session.create ~window:config.reuse_window ())
   else None
 
-let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
-    ?(cyclic = false) ?(blocked_finals = []) ?n_swaps_override ?(post_slots = 0)
-    ?(block_ix = 0) circuit =
-  let spec = spec_of_config ?n_swaps_override ~post_slots config device in
+(* What a route derives from its config once and hands to every block. *)
+type route_env = {
+  session : Encoding.Session.t option;  (** already vetted by [session_for] *)
+  cache : block_cache option;
+  jobs : int;
+}
+
+let route_env config =
+  {
+    session = session_for config;
+    cache = block_cache_of config;
+    jobs = effective_jobs config;
+  }
+
+(* The seam constraints the driver puts on one block. *)
+type seam = {
+  fixed_initial : int array option;
+  fixed_final : int array option;
+  tie : bool;  (** the encoding's own final = initial (cyclic) tie *)
+  blocked_finals : int array list;
+  want_post : bool;  (** post slots after the last gate, to restore a tie *)
+}
+
+let solve_block ~config ~env ~deadline ~device ~seam ~n_swaps ~block_ix
+    circuit =
+  let post_slots = if seam.want_post then n_swaps else 0 in
+  let spec = spec_of_config ~n_swaps ~post_slots config device in
+  let { fixed_initial; fixed_final; tie = cyclic; blocked_finals; _ } = seam in
   if Unix.gettimeofday () > deadline then (Block_timeout, 0)
   else if
     Encoding.estimate_vars spec circuit > config.max_vars
     || Encoding.estimate_clauses spec circuit > config.max_clauses
   then (Block_too_large, 0)
   else begin
-    let cache = block_cache_of config in
     let query () =
       {
         bq_device = device;
         bq_slice = circuit;
-        bq_n_swaps = Option.value n_swaps_override ~default:config.n_swaps;
+        bq_n_swaps = n_swaps;
         bq_post_slots = post_slots;
         bq_cyclic = cyclic;
         bq_fixed_initial = fixed_initial;
@@ -397,12 +409,12 @@ let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
         config.on_improvement
     in
     let store_optimal result =
-      match (result, cache) with
+      match (result, env.cache) with
       | Block_solved b, Some c when b.optimal ->
         c.bc_store config (query ()) b.sol
       | _ -> ()
     in
-    match Option.map (fun c -> c.bc_find config (query ())) cache with
+    match Option.map (fun c -> c.bc_find config (query ())) env.cache with
     | Some (Some sol) ->
       (* Hit: neither the solver nor clause emission is paid — the
          layout-only structure is enough for [emit] to replay the cached
@@ -417,9 +429,8 @@ let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
           },
         0 )
     | Some None | None -> (
-      match session with
-      | Some sess when session_usable config && Encoding.Session.supported spec
-        -> (
+      match env.session with
+      | Some sess when Encoding.Session.supported spec -> (
         (* Incremental path: reuse (or build) the shared skeleton and emit
            only this block's gate layer and seam constraints, then run the
            descent over the persistent solver. *)
@@ -461,7 +472,7 @@ let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
                 (Format.asprintf "Router: block failed lint (%s)@\n%a"
                    (Lint.Report.summary report) Lint.Report.pp report)
           end;
-          let jobs = effective_jobs config in
+          let jobs = env.jobs in
           let cube_vars = if jobs > 1 then Encoding.branch_vars enc else [] in
           let result =
             classify_block_result ~config enc
@@ -481,32 +492,30 @@ let block_result_label = function
 
 (* Escalate the block's swap budget on unsat seams: double n until the
    device diameter, which always suffices for a pinned initial map. *)
-let solve_block_escalating ~config ~deadline ~device ?session ?fixed_initial
-    ?fixed_final ?(cyclic = false) ?(blocked_finals = []) ?(want_post = false)
-    ?(block_ix = 0) ?(obs_args = []) circuit =
+let solve_block_escalating ~config ~env ~deadline ~device ~seam ~block_ix
+    ~n_blocks circuit =
   let span =
     if Obs.Trace.enabled () then
       Obs.Trace.start "router.block"
         ~args:
-          (obs_args
-          @ [
-              ( "two_qubit_gates",
-                Obs.Trace.Int (Quantum.Circuit.count_two_qubit circuit) );
-              ("n_swaps", Obs.Trace.Int config.n_swaps);
-            ])
+          [
+            ("slice", Obs.Trace.Int block_ix);
+            ("n_slices", Obs.Trace.Int n_blocks);
+            ( "two_qubit_gates",
+              Obs.Trace.Int (Quantum.Circuit.count_two_qubit circuit) );
+            ("n_swaps", Obs.Trace.Int config.n_swaps);
+          ]
     else Obs.Trace.null_span
   in
   let diameter = max 1 (Arch.Device.diameter device) in
-  let rec attempt n escalations calls =
-    let post_slots = if want_post then n else 0 in
+  let rec attempt n_swaps escalations calls =
     let result, c =
-      solve_block ~config ~deadline ~device ?session ?fixed_initial
-        ?fixed_final ~cyclic ~blocked_finals ~n_swaps_override:n ~post_slots
-        ~block_ix circuit
+      solve_block ~config ~env ~deadline ~device ~seam ~n_swaps ~block_ix
+        circuit
     in
     match result with
-    | Block_unsat when n < diameter ->
-      attempt (min diameter (2 * n)) (escalations + 1) (calls + c)
+    | Block_unsat when n_swaps < diameter ->
+      attempt (min diameter (2 * n_swaps)) (escalations + 1) (calls + c)
     | other -> (other, escalations, calls + c)
   in
   let result, escalations, solver_calls = attempt config.n_swaps 0 0 in
@@ -552,72 +561,7 @@ let guard_failures f =
   try f () with Failure msg -> Failed msg
 
 (* ------------------------------------------------------------------ *)
-(* NL-SATMAP: monolithic *)
-
-let route_monolithic ?(config = default_config) device circuit =
-  guard_failures @@ fun () ->
-  let start = Unix.gettimeofday () in
-  let deadline = start +. config.timeout in
-  if Quantum.Circuit.n_qubits circuit > Arch.Device.n_qubits device then
-    Failed "circuit does not fit on the device"
-  else if Quantum.Circuit.count_two_qubit circuit = 0 then begin
-    let routed = route_trivial ~device circuit in
-    check ~config ~original:circuit routed;
-    let certified, proofs_checked, proof_events, certify_time =
-      cert_fields ~config ~all_optimal:true []
-    in
-    Routed
-      ( routed,
-        {
-          time = Unix.gettimeofday () -. start;
-          n_backtracks = 0;
-          n_blocks = 1;
-          proved_optimal = true;
-          escalations = 0;
-          maxsat_iterations = 0;
-          certified;
-          proofs_checked;
-          proof_events;
-          certify_time;
-          solver_calls = 0;
-        } )
-  end
-  else begin
-    let session = session_for config in
-    let result, escalations, solver_calls =
-      solve_block_escalating ~config ~deadline ~device ?session
-        ?fixed_initial:config.initial_map circuit
-    in
-    match result with
-    | Block_solved b ->
-      let routed = emit ~device ~circuit b.enc b.sol in
-      check ~config ~original:circuit routed;
-      let certified, proofs_checked, proof_events, certify_time =
-        cert_fields ~config ~all_optimal:b.optimal [ b.cert ]
-      in
-      Routed
-        ( routed,
-          {
-            time = Unix.gettimeofday () -. start;
-            n_backtracks = 0;
-            n_blocks = 1;
-            proved_optimal = b.optimal;
-            escalations;
-            maxsat_iterations = b.iterations;
-            certified;
-            proofs_checked;
-            proof_events;
-            certify_time;
-            solver_calls;
-          } )
-    | Block_unsat -> Failed "unsatisfiable encoding"
-    | Block_timeout -> Failed "timeout"
-    | Block_encode_timeout -> Failed "encode timeout"
-    | Block_too_large -> Failed "encoding exceeds memory guard"
-  end
-
-(* ------------------------------------------------------------------ *)
-(* SATMAP: sliced with backtracking *)
+(* The block driver *)
 
 type slice_state = {
   slice : Quantum.Circuit.t;
@@ -625,23 +569,83 @@ type slice_state = {
   mutable solution : block_solution option;
 }
 
-let route_sliced ?(config = default_config) ~slice_size device circuit =
+(* The one [stats] builder.  Only a lone, non-cyclic block whose descent
+   finished proves a global optimum: sliced optima are local to their
+   seams, and a cyclic body's optimum is optimal only among routes whose
+   final map equals their initial map — the unconstrained circuit can be
+   cheaper (star_hub x3 on linear 8: 12 swaps cyclic, 11 monolithic). *)
+let route_stats ~config ~start ~n_blocks ~claims_optimal ~backtracks
+    ~escalations ~solver_calls blocks =
+  let all_optimal = List.for_all (fun b -> b.optimal) blocks in
+  let certified, proofs_checked, proof_events, certify_time =
+    cert_fields ~config ~all_optimal (List.map (fun b -> b.cert) blocks)
+  in
+  {
+    time = Unix.gettimeofday () -. start;
+    n_backtracks = backtracks;
+    n_blocks;
+    proved_optimal = claims_optimal && all_optimal;
+    escalations;
+    maxsat_iterations =
+      List.fold_left (fun acc b -> acc + b.iterations) 0 blocks;
+    certified;
+    proofs_checked;
+    proof_events;
+    certify_time;
+    solver_calls;
+  }
+
+(* NL-SATMAP, SATMAP and CYC-SATMAP are one encoding solved over a
+   sequence of blocks; they differ only in the seam constraints, so one
+   driver runs all three (see [route_monolithic], [route_sliced],
+   [route_cyclic_body]).  The blocks are [body] cut into slices of
+   [slice_size] two-qubit gates, or [body] whole without one; the route
+   is [body] repeated [repetitions] times when [cyclic].
+
+   Seams: block i > 0 is pinned to block i - 1's final map.  Block 0 is
+   pinned to [config.initial_map], except in a cyclic route, whose initial
+   map must stay free to close the loop.  A cyclic route ties its last
+   block's final map to block 0's initial map (a lone block uses the
+   encoding's own final = initial tie) and gives that block post slots so
+   the restoring swaps fit after its last gate.
+
+   Each block splits the remaining budget with the blocks after it
+   ([slice_budget]) and first escalates its own swap budget when a seam
+   is unsatisfiable ([solve_block_escalating]); if it is still
+   unsatisfiable, the previous block's final map is blocked and that block
+   re-solved, up to [config.backtrack_limit] times per route. *)
+let route_blocks ~config ~cyclic ~repetitions ?slice_size device body =
   guard_failures @@ fun () ->
   let start = Unix.gettimeofday () in
   let deadline = start +. config.timeout in
-  if Quantum.Circuit.n_qubits circuit > Arch.Device.n_qubits device then
+  let original =
+    if cyclic then Quantum.Circuit.repeat body repetitions else body
+  in
+  if Quantum.Circuit.n_qubits body > Arch.Device.n_qubits device then
     Failed "circuit does not fit on the device"
-  else if Quantum.Circuit.count_two_qubit circuit = 0 then
-    route_monolithic ~config device circuit
+  else if Quantum.Circuit.count_two_qubit body = 0 then begin
+    let routed = route_trivial ~device original in
+    check ~config ~original routed;
+    Routed
+      ( routed,
+        route_stats ~config ~start ~n_blocks:1 ~claims_optimal:true
+          ~backtracks:0 ~escalations:0 ~solver_calls:0 [] )
+  end
   else begin
     let slices =
-      Array.of_list
-        (List.map
-           (fun s -> { slice = s; blocked = []; solution = None })
-           (Quantum.Circuit.slice_by_two_qubit circuit ~slice_size))
+      Option.fold slice_size ~none:[ body ]
+        ~some:(fun slice_size ->
+          Quantum.Circuit.slice_by_two_qubit body ~slice_size)
+      |> List.map (fun s -> { slice = s; blocked = []; solution = None })
+      |> Array.of_list
     in
     let n = Array.length slices in
-    let session = session_for config in
+    let env = route_env config in
+    let solution_of i =
+      match slices.(i).solution with
+      | Some b -> b
+      | None -> failwith "Router: previous slice unsolved"
+    in
     let backtracks = ref 0 in
     let escalations = ref 0 in
     let solver_calls = ref 0 in
@@ -649,23 +653,28 @@ let route_sliced ?(config = default_config) ~slice_size device circuit =
     let i = ref 0 in
     while !failure = None && !i < n do
       let st = slices.(!i) in
-      let fixed_initial =
-        if !i = 0 then config.initial_map
-        else
-          match slices.(!i - 1).solution with
-          | Some b -> Some b.sol.final
-          | None -> failwith "Router: previous slice unsolved"
+      let last = !i = n - 1 in
+      let seam =
+        {
+          fixed_initial =
+            (if !i > 0 then Some (solution_of (!i - 1)).sol.final
+             else if cyclic then None
+             else config.initial_map);
+          fixed_final =
+            (if cyclic && last && n > 1 then Some (solution_of 0).sol.initial
+             else None);
+          tie = cyclic && n = 1;
+          blocked_finals = st.blocked;
+          want_post = cyclic && last;
+        }
       in
       let block_deadline =
         slice_budget ~deadline ~now:(Unix.gettimeofday ())
           ~blocks_remaining:(n - !i)
       in
       let result, esc, calls =
-        solve_block_escalating ~config ~deadline:block_deadline ~device
-          ?session ?fixed_initial ~blocked_finals:st.blocked ~block_ix:!i
-          ~obs_args:
-            [ ("slice", Obs.Trace.Int !i); ("n_slices", Obs.Trace.Int n) ]
-          st.slice
+        solve_block_escalating ~config ~env ~deadline:block_deadline ~device
+          ~seam ~block_ix:!i ~n_blocks:n st.slice
       in
       escalations := !escalations + esc;
       solver_calls := !solver_calls + calls;
@@ -674,7 +683,11 @@ let route_sliced ?(config = default_config) ~slice_size device circuit =
         st.solution <- Some b;
         incr i
       | Block_unsat ->
-        if !i = 0 then failure := Some "slice 0 unsatisfiable"
+        if !i = 0 then
+          failure :=
+            Some
+              (if n = 1 then "unsatisfiable encoding"
+               else "slice 0 unsatisfiable")
         else if !backtracks >= config.backtrack_limit then
           failure := Some "backtracking budget exhausted"
         else begin
@@ -684,9 +697,7 @@ let route_sliced ?(config = default_config) ~slice_size device circuit =
           Obs.Trace.instant "router.backtrack"
             ~args:[ ("slice", Obs.Trace.Int !i) ];
           let prev = slices.(!i - 1) in
-          (match prev.solution with
-          | Some b -> prev.blocked <- b.sol.final :: prev.blocked
-          | None -> failwith "Router: previous slice unsolved");
+          prev.blocked <- (solution_of (!i - 1)).sol.final :: prev.blocked;
           prev.solution <- None;
           decr i
         end
@@ -697,209 +708,39 @@ let route_sliced ?(config = default_config) ~slice_size device circuit =
     match !failure with
     | Some msg -> Failed msg
     | None ->
-      let segments = ref [] in
-      let all_optimal = ref true in
-      let iterations = ref 0 in
-      let certs = ref [] in
-      Array.iter
-        (fun st ->
-          match st.solution with
-          | Some b ->
-            if not b.optimal then all_optimal := false;
-            iterations := !iterations + b.iterations;
-            certs := b.cert :: !certs;
-            segments := emit ~device ~circuit:st.slice b.enc b.sol :: !segments
-          | None -> failwith "Router: unsolved slice after success")
-        slices;
-      let routed = Routed.stitch (List.rev !segments) in
-      check ~config ~original:circuit routed;
-      let proved_optimal = !all_optimal && n = 1 in
-      let certified, proofs_checked, proof_events, certify_time =
-        cert_fields ~config ~all_optimal:!all_optimal !certs
+      let blocks = List.init n solution_of in
+      let routed_body =
+        Routed.stitch
+          (List.map2
+             (fun st b -> emit ~device ~circuit:st.slice b.enc b.sol)
+             (Array.to_list slices) blocks)
       in
+      let routed =
+        if cyclic then Routed.repeat routed_body repetitions else routed_body
+      in
+      check ~config ~original routed;
       Routed
         ( routed,
-          {
-            time = Unix.gettimeofday () -. start;
-            n_backtracks = !backtracks;
-            n_blocks = n;
-            proved_optimal;
-            escalations = !escalations;
-            maxsat_iterations = !iterations;
-            certified;
-            proofs_checked;
-            proof_events;
-            certify_time;
-            solver_calls = !solver_calls;
-          } )
+          route_stats ~config ~start ~n_blocks:n
+            ~claims_optimal:((not cyclic) && n = 1)
+            ~backtracks:!backtracks ~escalations:!escalations
+            ~solver_calls:!solver_calls blocks )
   end
 
-(* ------------------------------------------------------------------ *)
-(* CYC-SATMAP: cyclic relaxation *)
+(* NL-SATMAP: the whole circuit is one block. *)
+let route_monolithic ?(config = default_config) device circuit =
+  route_blocks ~config ~cyclic:false ~repetitions:1 device circuit
 
+(* SATMAP: blocks of [slice_size] two-qubit gates. *)
+let route_sliced ?(config = default_config) ~slice_size device circuit =
+  route_blocks ~config ~cyclic:false ~repetitions:1 ~slice_size device circuit
+
+(* CYC-SATMAP: route the body under the cyclic tie, then repeat it; sliced
+   when [slice_size] is given (Section VI composed with Section V). *)
 let route_cyclic_body ?(config = default_config) ?slice_size ~repetitions
     device body =
   if repetitions < 1 then invalid_arg "Router.route_cyclic_body";
-  guard_failures @@ fun () ->
-  let start = Unix.gettimeofday () in
-  let deadline = start +. config.timeout in
-  if Quantum.Circuit.n_qubits body > Arch.Device.n_qubits device then
-    Failed "circuit does not fit on the device"
-  else if Quantum.Circuit.count_two_qubit body = 0 then
-    route_monolithic ~config device (Quantum.Circuit.repeat body repetitions)
-  else begin
-    let finish ~stats routed_body =
-      let routed = Routed.repeat routed_body repetitions in
-      check ~config
-        ~original:(Quantum.Circuit.repeat body repetitions)
-        routed;
-      Routed (routed, stats)
-    in
-    match slice_size with
-    | None -> (
-      (* Monolithic body with the cyclic tie and post slots. *)
-      let session = session_for config in
-      let result, escalations, solver_calls =
-        solve_block_escalating ~config ~deadline ~device ?session ~cyclic:true
-          ~want_post:true body
-      in
-      match result with
-      | Block_solved b ->
-        let certified, proofs_checked, proof_events, certify_time =
-          cert_fields ~config ~all_optimal:b.optimal [ b.cert ]
-        in
-        finish
-          ~stats:
-            {
-              time = Unix.gettimeofday () -. start;
-              n_backtracks = 0;
-              n_blocks = 1;
-              proved_optimal = b.optimal;
-              escalations;
-              maxsat_iterations = b.iterations;
-              certified;
-              proofs_checked;
-              proof_events;
-              certify_time;
-              solver_calls;
-            }
-          (emit ~device ~circuit:body b.enc b.sol)
-      | Block_unsat -> Failed "cyclic encoding unsatisfiable"
-      | Block_timeout -> Failed "timeout"
-      | Block_encode_timeout -> Failed "encode timeout"
-      | Block_too_large -> Failed "encoding exceeds memory guard")
-    | Some slice_size -> (
-      (* Sliced body: slice 0's initial map is recorded and the last slice
-         must return to it (Section VI composed with Section V). *)
-      let slices =
-        Array.of_list
-          (List.map
-             (fun s -> { slice = s; blocked = []; solution = None })
-             (Quantum.Circuit.slice_by_two_qubit body ~slice_size))
-      in
-      let n = Array.length slices in
-      let session = session_for config in
-      let backtracks = ref 0 in
-      let escalations = ref 0 in
-      let solver_calls = ref 0 in
-      let failure = ref None in
-      let i = ref 0 in
-      while !failure = None && !i < n do
-        let st = slices.(!i) in
-        let fixed_initial =
-          if !i = 0 then None
-          else
-            match slices.(!i - 1).solution with
-            | Some b -> Some b.sol.final
-            | None -> failwith "Router: previous slice unsolved"
-        in
-        let fixed_final =
-          if !i < n - 1 then None
-          else if n = 1 then None (* cyclic flag handles the single slice *)
-          else
-            match slices.(0).solution with
-            | Some b -> Some b.sol.initial
-            | None -> failwith "Router: slice 0 unsolved"
-        in
-        let cyclic = n = 1 && !i = 0 in
-        let want_post = !i = n - 1 in
-        let block_deadline =
-          slice_budget ~deadline ~now:(Unix.gettimeofday ())
-            ~blocks_remaining:(n - !i)
-        in
-        let result, esc, calls =
-          solve_block_escalating ~config ~deadline:block_deadline ~device
-            ?session ?fixed_initial ?fixed_final ~cyclic
-            ~blocked_finals:st.blocked ~want_post ~block_ix:!i
-            ~obs_args:
-              [ ("slice", Obs.Trace.Int !i); ("n_slices", Obs.Trace.Int n) ]
-            st.slice
-        in
-        escalations := !escalations + esc;
-        solver_calls := !solver_calls + calls;
-        match result with
-        | Block_solved b ->
-          st.solution <- Some b;
-          incr i
-        | Block_unsat ->
-          if !i = 0 then failure := Some "slice 0 unsatisfiable"
-          else if !backtracks >= config.backtrack_limit then
-            failure := Some "backtracking budget exhausted"
-          else begin
-            incr backtracks;
-            Obs.Metrics.incr m_backtracks;
-            Obs.Trace.instant "router.backtrack"
-              ~args:[ ("slice", Obs.Trace.Int !i) ];
-            let prev = slices.(!i - 1) in
-            (match prev.solution with
-            | Some b -> prev.blocked <- b.sol.final :: prev.blocked
-            | None -> failwith "Router: previous slice unsolved");
-            prev.solution <- None;
-            decr i
-          end
-        | Block_timeout -> failure := Some "timeout"
-        | Block_encode_timeout -> failure := Some "encode timeout"
-        | Block_too_large -> failure := Some "encoding exceeds memory guard"
-      done;
-      match !failure with
-      | Some msg -> Failed msg
-      | None ->
-        let segments = ref [] in
-        let all_optimal = ref true in
-        let iterations = ref 0 in
-        let certs = ref [] in
-        Array.iter
-          (fun st ->
-            match st.solution with
-            | Some b ->
-              if not b.optimal then all_optimal := false;
-              iterations := !iterations + b.iterations;
-              certs := b.cert :: !certs;
-              segments :=
-                emit ~device ~circuit:st.slice b.enc b.sol :: !segments
-            | None -> failwith "Router: unsolved slice after success")
-          slices;
-        let routed_body = Routed.stitch (List.rev !segments) in
-        let certified, proofs_checked, proof_events, certify_time =
-          cert_fields ~config ~all_optimal:!all_optimal !certs
-        in
-        finish
-          ~stats:
-            {
-              time = Unix.gettimeofday () -. start;
-              n_backtracks = !backtracks;
-              n_blocks = n;
-              proved_optimal = false;
-              escalations = !escalations;
-              maxsat_iterations = !iterations;
-              certified;
-              proofs_checked;
-              proof_events;
-              certify_time;
-              solver_calls = !solver_calls;
-            }
-          routed_body)
-  end
+  route_blocks ~config ~cyclic:true ~repetitions ?slice_size device body
 
 (* Auto-detect the repeated body. *)
 let route_cyclic ?(config = default_config) ?slice_size device circuit =
@@ -912,16 +753,22 @@ let route_cyclic ?(config = default_config) ?slice_size device circuit =
 (* Portfolio: the paper's reporting mode — try several slice sizes, keep
    the best solution found. *)
 
+(* The cheapest routed member, with every member's outcome. *)
 let best_of results =
-  List.fold_left
-    (fun acc (_, outcome) ->
-      match (acc, outcome) with
-      | None, Routed (r, s) -> Some (r, s)
-      | Some (r0, _), Routed (r, s)
-        when Routed.added_cnots r < Routed.added_cnots r0 ->
-        Some (r, s)
-      | acc, (Routed _ | Failed _) -> acc)
-    None results
+  let best =
+    List.fold_left
+      (fun acc (_, outcome) ->
+        match (acc, outcome) with
+        | None, Routed (r, s) -> Some (r, s)
+        | Some (r0, _), Routed (r, s)
+          when Routed.added_cnots r < Routed.added_cnots r0 ->
+          Some (r, s)
+        | acc, (Routed _ | Failed _) -> acc)
+      None results
+  in
+  match best with
+  | Some (r, s) -> (Routed (r, s), results)
+  | None -> (Failed "no slice size succeeded", results)
 
 (* Each portfolio member gets its own span; under the parallel driver the
    recorded thread id is the member's domain id, so the trace viewer
@@ -933,12 +780,10 @@ let run_member ~config ~size device circuit =
 
 let route_portfolio ?(config = default_config) ?(sizes = [ 10; 25; 50; 100 ])
     device circuit =
-  let results =
-    List.map (fun size -> (size, run_member ~config ~size device circuit)) sizes
-  in
-  match best_of results with
-  | Some (r, s) -> (Routed (r, s), results)
-  | None -> (Failed "no slice size succeeded", results)
+  best_of
+    (List.map
+       (fun size -> (size, run_member ~config ~size device circuit))
+       sizes)
 
 (* Parallel portfolio: one domain per slice size, realising the paper's
    "parallel SAT-solving strategies" scaling avenue.  Every domain builds
@@ -972,13 +817,9 @@ let route_portfolio_parallel ?(config = default_config)
       let group, rest = take max_live xs in
       group :: chunks rest
   in
-  let results =
-    List.concat_map
-      (fun group ->
-        let domains = List.map spawn group in
-        List.map (fun (size, d) -> (size, Domain.join d)) domains)
-      (chunks sizes)
-  in
-  match best_of results with
-  | Some (r, s) -> (Routed (r, s), results)
-  | None -> (Failed "no slice size succeeded", results)
+  best_of
+    (List.concat_map
+       (fun group ->
+         let domains = List.map spawn group in
+         List.map (fun (size, d) -> (size, Domain.join d)) domains)
+       (chunks sizes))

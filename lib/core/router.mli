@@ -1,16 +1,25 @@
 (** The SATMAP routers (the paper's tool, Section VII).
 
-    - {!route_monolithic}: NL-SATMAP, one MaxSAT instance for the whole
-      circuit.
-    - {!route_sliced}: SATMAP, the locally-optimal relaxation with
-      backtracking at slice seams.
+    One block driver solves a sequence of MaxSAT blocks with one
+    seam/backtrack/escalation loop; the paper's three methods are its seam
+    policies:
+
+    - {!route_monolithic}: NL-SATMAP, the whole circuit is one block.
+    - {!route_sliced}: SATMAP, the locally-optimal relaxation: blocks of
+      [slice_size] two-qubit gates, each pinned to the previous block's
+      final map, with backtracking at slice seams.
     - {!route_cyclic} / {!route_cyclic_body}: CYC-SATMAP, solve the
-      repeated body once with the final-map = initial-map tie and stitch.
+      repeated body once with its final map tied to its initial map, and
+      stitch.  Composes with slicing.
     - {!route_portfolio}: try several slice sizes, report the cheapest
       (how the paper runs SATMAP).
 
     All routers are anytime: a deadline mid-descent yields the best
-    solution found so far, flagged as not proved optimal. *)
+    solution found so far, flagged as not proved optimal.  Only a
+    single-block, non-cyclic route can report [proved_optimal]: sliced
+    optima are local to their seams, and a cyclic body's optimum is
+    optimal only among routes that return to their initial map — the
+    unconstrained circuit can be cheaper. *)
 
 type config = {
   n_swaps : int;  (** the paper's n; default 1 *)

@@ -40,6 +40,11 @@ type flight_result =
    Service.Protocol.error_code * string)
   result
 
+(* A handler's socket.  [live] is cleared, under [t.lock], just before
+   the handler closes [fd]: after that the descriptor number may be handed
+   to another socket of this process, which [stop] must not shut down. *)
+type conn = { fd : Unix.file_descr; mutable live : bool }
+
 type t = {
   engine : Service.Engine.t;
   listen_fd : Unix.file_descr;
@@ -49,7 +54,7 @@ type t = {
   admission : Admission.t option;
   flights : flight_result Single_flight.t;
   lock : RM.t;
-  conns : (Unix.file_descr * Race.Sync.Thread_.t) list RC.t;
+  conns : (conn * Race.Sync.Thread_.t) list RC.t;
   stopping : bool RA.t;
   mutable acceptor : Race.Sync.Thread_.t option;
 }
@@ -225,7 +230,14 @@ let process t ~respond line =
 
 (* ---- connections --------------------------------------------------- *)
 
-let handle_connection t fd =
+(* The two channels of a socket share one descriptor: close it once,
+   through [oc] (which flushes first).  Closing [ic] too would close the
+   descriptor number a second time, and by then [socket] or [accept] in
+   another thread may have reused it. *)
+let disconnect ((_ : in_channel), oc) = close_out_noerr oc
+
+let handle_connection t conn =
+  let fd = conn.fd in
   Obs.Metrics.incr m_connections;
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -261,8 +273,10 @@ let handle_connection t fd =
       loop ()
   in
   loop ();
-  close_out_noerr oc;
-  close_in_noerr ic
+  RM.lock t.lock;
+  conn.live <- false;
+  RM.unlock t.lock;
+  disconnect (ic, oc)
 
 let accept_loop t =
   let rec go () =
@@ -272,11 +286,12 @@ let accept_loop t =
     | fd, _ ->
       if RA.get t.stopping then (Unix.close fd; go ())
       else begin
+        let conn = { fd; live = true } in
         let thread =
-          Race.Sync.Thread_.create (fun () -> handle_connection t fd) ()
+          Race.Sync.Thread_.create (fun () -> handle_connection t conn) ()
         in
         RM.lock t.lock;
-        RC.set t.conns ((fd, thread) :: RC.get t.conns);
+        RC.set t.conns ((conn, thread) :: RC.get t.conns);
         RM.unlock t.lock;
         go ()
       end
@@ -349,19 +364,21 @@ let stop t =
      with Unix.Unix_error _ -> ());
     Option.iter Race.Sync.Thread_.join t.acceptor;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    (* Half-close: handlers see EOF, finish their replies, exit.  Done
+       under the lock so no handler closes its descriptor in between. *)
     let conns =
       RM.lock t.lock;
       let c = RC.get t.conns in
       RC.set t.conns [];
+      List.iter
+        (fun (conn, _) ->
+          if conn.live then
+            try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE
+            with Unix.Unix_error _ -> ())
+        c;
       RM.unlock t.lock;
       c
     in
-    (* Half-close: handlers see EOF, finish their replies, exit. *)
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      conns;
     List.iter (fun (_, thread) -> Race.Sync.Thread_.join thread) conns;
     match t.bound with
     | Unix_path path -> (try Sys.remove path with Sys_error _ -> ())
@@ -383,7 +400,3 @@ let connect address =
      Unix.close fd;
      raise e);
   (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-
-let disconnect (ic, oc) =
-  close_out_noerr oc;
-  close_in_noerr ic

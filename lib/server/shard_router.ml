@@ -15,6 +15,11 @@
    deterministic function of the request, so the bytes match what a
    backend would have sent. *)
 
+(* A client socket; [live] is cleared under [t.lock] just before the
+   handler closes [fd] (see [Server]'s connections: [stop] must not shut
+   down a descriptor number that has since been reused). *)
+type conn = { fd : Unix.file_descr; mutable live : bool }
+
 type t = {
   listen_fd : Unix.file_descr;
   bound : Server.address;
@@ -22,7 +27,7 @@ type t = {
   ring : Shard.t;
   max_request_bytes : int;
   lock : Mutex.t;
-  mutable conns : (Unix.file_descr * Thread.t) list;
+  mutable conns : (conn * Thread.t) list;
   mutable stopping : bool;
   mutable acceptor : Thread.t option;
 }
@@ -43,7 +48,8 @@ let id_of_line line =
 (* One client connection: a lazily-opened upstream connection per
    backend, each with a pump thread relaying its response lines into
    the client's (mutex-serialised) output. *)
-let handle_client t fd =
+let handle_client t conn =
+  let fd = conn.fd in
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let out_lock = Mutex.create () in
@@ -141,11 +147,12 @@ let handle_client t fd =
       | None -> ()
       | Some (bic, boc, pump) ->
         Thread.join pump;
-        close_out_noerr boc;
-        close_in_noerr bic)
+        Server.disconnect (bic, boc))
     upstreams;
-  close_out_noerr oc;
-  close_in_noerr ic
+  Mutex.lock t.lock;
+  conn.live <- false;
+  Mutex.unlock t.lock;
+  Server.disconnect (ic, oc)
 
 let accept_loop t =
   let rec go () =
@@ -155,9 +162,10 @@ let accept_loop t =
     | fd, _ ->
       if t.stopping then (Unix.close fd; go ())
       else begin
-        let thread = Thread.create (fun () -> handle_client t fd) () in
+        let conn = { fd; live = true } in
+        let thread = Thread.create (fun () -> handle_client t conn) () in
         Mutex.lock t.lock;
-        t.conns <- (fd, thread) :: t.conns;
+        t.conns <- (conn, thread) :: t.conns;
         Mutex.unlock t.lock;
         go ()
       end
@@ -223,14 +231,15 @@ let stop t =
       Mutex.lock t.lock;
       let c = t.conns in
       t.conns <- [];
+      List.iter
+        (fun (conn, _) ->
+          if conn.live then
+            try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE
+            with Unix.Unix_error _ -> ())
+        c;
       Mutex.unlock t.lock;
       c
     in
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      conns;
     List.iter (fun (_, thread) -> Thread.join thread) conns;
     match t.bound with
     | Server.Unix_path path -> (try Sys.remove path with Sys_error _ -> ())

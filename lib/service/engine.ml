@@ -167,6 +167,28 @@ let finalize (p : prepared) (stored : Protocol.ok_payload) ~cache_hit
     ok_time = time;
   }
 
+(* A route's reply as cached: in canonical space, with neutral
+   identity/timing fields that [finalize] fills per caller. *)
+let canonical_payload routed ~blocks ~backtracks ~proved_optimal ~iterations
+    ~solver_calls =
+  {
+    Protocol.ok_id = "";
+    ok_qasm = Quantum.Qasm.to_string (Satmap.Routed.circuit routed);
+    ok_initial = Satmap.Mapping.to_array (Satmap.Routed.initial routed);
+    ok_final = Satmap.Mapping.to_array (Satmap.Routed.final routed);
+    ok_swaps = Satmap.Routed.n_swaps routed;
+    ok_added_cnots = Satmap.Routed.added_cnots routed;
+    ok_depth = Satmap.Routed.depth routed;
+    ok_blocks = blocks;
+    ok_backtracks = backtracks;
+    ok_proved_optimal = proved_optimal;
+    ok_maxsat_iterations = iterations;
+    ok_solver_calls = solver_calls;
+    ok_cache_hit = false;
+    ok_coalesced = false;
+    ok_time = 0.;
+  }
+
 let route_canonical (req : Protocol.request) config device canon =
   match req.method_ with
   | Protocol.Monolithic -> Satmap.Router.route_monolithic ~config device canon
@@ -212,6 +234,10 @@ let handle_prepared ?deadline ?on_progress t (p : prepared) =
           (fun () -> Cache.find t.serve_cache p.p_key)
       else None
     in
+    let store payload =
+      if req.use_cache then Cache.add t.serve_cache p.p_key payload;
+      Ok (payload, false)
+    in
     match cached with
     | Some stored -> Ok (stored, true)
     | None when req.engine <> Protocol.default_request.engine -> (
@@ -233,28 +259,10 @@ let handle_prepared ?deadline ?on_progress t (p : prepared) =
       with
       | Error msg -> Error (err req.id Protocol.Routing_failed msg)
       | Ok (routed, meta) ->
-        let canonical_payload =
-          {
-            Protocol.ok_id = "";
-            ok_qasm = Quantum.Qasm.to_string (Satmap.Routed.circuit routed);
-            ok_initial = Satmap.Mapping.to_array (Satmap.Routed.initial routed);
-            ok_final = Satmap.Mapping.to_array (Satmap.Routed.final routed);
-            ok_swaps = Satmap.Routed.n_swaps routed;
-            ok_added_cnots = Satmap.Routed.added_cnots routed;
-            ok_depth = Satmap.Routed.depth routed;
-            ok_blocks = 1;
-            ok_backtracks = 0;
-            ok_proved_optimal = meta.Engines.Registry.m_optimal;
-            ok_maxsat_iterations = 0;
-            ok_solver_calls = 0;
-            ok_cache_hit = false;
-            ok_coalesced = false;
-            ok_time = 0.;
-          }
-        in
-        if req.use_cache then
-          Cache.add t.serve_cache p.p_key canonical_payload;
-        Ok (canonical_payload, false))
+        store
+          (canonical_payload routed ~blocks:1 ~backtracks:0
+             ~proved_optimal:meta.Engines.Registry.m_optimal ~iterations:0
+             ~solver_calls:0))
     | None -> (
       (* Warm the incremental session from the cross-request pool when
          this config would use one at all; the session is exclusively
@@ -282,30 +290,12 @@ let handle_prepared ?deadline ?on_progress t (p : prepared) =
       | Satmap.Router.Failed msg ->
         Error (err req.id Protocol.Routing_failed msg)
       | Satmap.Router.Routed (routed, stats) ->
-        (* Stored in canonical space with neutral identity/timing
-           fields; [finalize] fills them per caller. *)
-        let canonical_payload =
-          {
-            Protocol.ok_id = "";
-            ok_qasm = Quantum.Qasm.to_string (Satmap.Routed.circuit routed);
-            ok_initial = Satmap.Mapping.to_array (Satmap.Routed.initial routed);
-            ok_final = Satmap.Mapping.to_array (Satmap.Routed.final routed);
-            ok_swaps = Satmap.Routed.n_swaps routed;
-            ok_added_cnots = Satmap.Routed.added_cnots routed;
-            ok_depth = Satmap.Routed.depth routed;
-            ok_blocks = stats.Satmap.Router.n_blocks;
-            ok_backtracks = stats.Satmap.Router.n_backtracks;
-            ok_proved_optimal = stats.Satmap.Router.proved_optimal;
-            ok_maxsat_iterations = stats.Satmap.Router.maxsat_iterations;
-            ok_solver_calls = stats.Satmap.Router.solver_calls;
-            ok_cache_hit = false;
-            ok_coalesced = false;
-            ok_time = 0.;
-          }
-        in
-        if req.use_cache then
-          Cache.add t.serve_cache p.p_key canonical_payload;
-        Ok (canonical_payload, false))
+        store
+          (canonical_payload routed ~blocks:stats.Satmap.Router.n_blocks
+             ~backtracks:stats.n_backtracks
+             ~proved_optimal:stats.proved_optimal
+             ~iterations:stats.maxsat_iterations
+             ~solver_calls:stats.solver_calls))
   end
 
 let handle ?deadline ?on_progress t (req : Protocol.request) =

@@ -514,15 +514,6 @@ let test_router_sliced_valid_and_bounded () =
   Alcotest.(check bool) "sliced >= optimal" true
     (Satmap.Routed.n_swaps sliced >= 0)
 
-let test_router_sliced_equals_monolithic_when_one_slice () =
-  let device, circuit = running_example () in
-  let r, _ =
-    get_routed
-      (Satmap.Router.route_sliced ~config:quick_config ~slice_size:100 device
-         circuit)
-  in
-  Alcotest.(check int) "same as monolithic" 1 (Satmap.Routed.n_swaps r)
-
 let test_router_backtracking_seam () =
   (* A seam that forces either backtracking or escalation: on a line of 4,
      with slice size 1, consecutive far-apart interactions. *)
@@ -642,6 +633,105 @@ let test_router_cyclic_autodetect () =
   in
   Alcotest.(check bool) "verifies" true
     (Satmap.Verifier.is_valid ~original:circuit r)
+
+(* A cyclic body's optimum is optimal only among cyclic routes: on this
+   instance the tied body costs 12 swaps over three repetitions while the
+   unconstrained circuit routes with 11, so no optimality claim may be
+   made. *)
+let test_router_cyclic_not_proved_optimal () =
+  let body = Quantum.Qasm.of_file "../examples/qasm/star_hub.qasm" in
+  let _, s =
+    get_routed
+      (Satmap.Router.route_cyclic_body ~config:quick_config ~repetitions:3
+         (line 8) body)
+  in
+  Alcotest.(check bool) "not proved optimal" false s.proved_optimal
+
+(* Golden routes (test/data/router_golden.txt): every line names a circuit,
+   a device and a router, followed by the MD5 of the routed QASM and the
+   route counters.  Re-routing must reproduce each line exactly. *)
+let golden_config = { Satmap.Router.default_config with timeout = 120.0 }
+
+let golden_devices = [ ("tokyo", tokyo); ("linear-8", line 8) ]
+
+let golden_methods =
+  let open Satmap.Router in
+  let config = golden_config in
+  [
+    ("monolithic", fun d c -> route_monolithic ~config d c);
+    ("sliced-2", fun d c -> route_sliced ~config ~slice_size:2 d c);
+    ("cyclic-3", fun d c -> route_cyclic_body ~config ~repetitions:3 d c);
+    ( "cyclic-3-sliced-2",
+      fun d c -> route_cyclic_body ~config ~slice_size:2 ~repetitions:3 d c );
+  ]
+
+let golden_result = function
+  | Satmap.Router.Failed msg -> Printf.sprintf "failed %S" msg
+  | Satmap.Router.Routed (routed, (s : Satmap.Router.stats)) ->
+    Printf.sprintf
+      "%s swaps=%d blocks=%d backtracks=%d escalations=%d solver_calls=%d \
+       iterations=%d"
+      (Digest.to_hex
+         (Digest.string
+            (Quantum.Qasm.to_string (Satmap.Routed.circuit routed))))
+      (Satmap.Routed.n_swaps routed) s.n_blocks s.n_backtracks s.escalations
+      s.solver_calls s.maxsat_iterations
+
+let example_circuit file =
+  Quantum.Qasm.of_file (Filename.concat "../examples/qasm" file)
+
+let test_router_golden () =
+  let lines =
+    In_channel.with_open_text "data/router_golden.txt" In_channel.input_lines
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check bool) "golden file has routes" true (lines <> []);
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | file :: device :: meth :: _ ->
+        let route = List.assoc meth golden_methods in
+        let got =
+          String.concat " "
+            [
+              file;
+              device;
+              meth;
+              golden_result
+                (route
+                   (List.assoc device golden_devices)
+                   (example_circuit file));
+            ]
+        in
+        Alcotest.(check string) line line got
+      | _ -> Alcotest.failf "malformed golden line: %s" line)
+    lines
+
+(* One slice holding every two-qubit gate is the monolithic route: the
+   same routed QASM and the same counters. *)
+let test_router_sliced_equals_monolithic_when_one_slice () =
+  let device, circuit = running_example () in
+  let r, _ =
+    get_routed
+      (Satmap.Router.route_sliced ~config:quick_config ~slice_size:100 device
+         circuit)
+  in
+  Alcotest.(check int) "same as monolithic" 1 (Satmap.Routed.n_swaps r);
+  Sys.readdir "../examples/qasm"
+  |> Array.iter (fun file ->
+         let c = example_circuit file in
+         let slice_size = Quantum.Circuit.count_two_qubit c in
+         List.iter
+           (fun (name, device) ->
+             Alcotest.(check string)
+               (file ^ " " ^ name)
+               (golden_result
+                  (Satmap.Router.route_monolithic ~config:golden_config device
+                     c))
+               (golden_result
+                  (Satmap.Router.route_sliced ~config:golden_config ~slice_size
+                     device c)))
+           golden_devices)
 
 let test_router_portfolio () =
   let device, circuit = running_example () in
@@ -860,6 +950,9 @@ let suite =
         Alcotest.test_case "cyclic body" `Quick test_router_cyclic_body;
         Alcotest.test_case "cyclic autodetect" `Quick
           test_router_cyclic_autodetect;
+        Alcotest.test_case "cyclic never proved optimal" `Quick
+          test_router_cyclic_not_proved_optimal;
+        Alcotest.test_case "golden routes" `Slow test_router_golden;
         Alcotest.test_case "portfolio" `Quick test_router_portfolio;
         Alcotest.test_case "parallel portfolio" `Quick
           test_router_parallel_portfolio;

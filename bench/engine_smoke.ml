@@ -49,7 +49,8 @@ let check_lower_bounds () =
   in
   List.iter
     (fun (name, dev, circuit) ->
-      let config = { Engines.Registry.default_config with timeout = 30.0 } in
+      (* the default config: 30 s, verified, sliced at 25 *)
+      let config = Engines.Registry.default_config in
       let routed, meta = route ~engine:"maxsat" dev circuit config in
       if not meta.Engines.Registry.m_optimal then
         fail "%s: maxsat did not prove optimality within the budget" name;
@@ -70,7 +71,7 @@ let check_lower_bounds () =
 let check_swap_strategy () =
   let _, circuit = Qaoa.Build.maxcut_3_regular ~seed:11 ~n:6 ~cycles:2 in
   let dev = device "linear-8" in
-  let config = { Engines.Registry.default_config with timeout = 30.0 } in
+  let config = Engines.Registry.default_config in
   (* Registry.run verifies by default; reaching Ok means the Z-diagonal
      commuting relaxation accepted the reordered output. *)
   let routed, meta = route ~engine:"swap_strategy" dev circuit config in

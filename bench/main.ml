@@ -1084,7 +1084,12 @@ let serve_section () =
    routing bug, not a tuning regression. *)
 let engines_section () =
   let budget = Float.max 5.0 (timeout ()) in
-  let config = { Engines.Registry.default_config with timeout = budget } in
+  let config =
+    {
+      Engines.Registry.default_config with
+      router = { Satmap.Router.default_config with timeout = budget };
+    }
+  in
   let families =
     [
       ( "qaoa-commuting",

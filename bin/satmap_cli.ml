@@ -198,8 +198,9 @@ let engine_opt =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Route through a named engine from the registry (see \
-           --list-engines) instead of the default MaxSAT pipeline; \
-           --method is ignored when an engine is selected.")
+           --list-engines); the default is maxsat, which runs the \
+           --method / --slice-size / --parallel choice.  Other engines \
+           ignore those flags.")
 
 let list_engines =
   Arg.(
@@ -215,30 +216,26 @@ let seed_placement =
         ~doc:
           "Seed the initial mapping externally before routing: 'qap' \
            (quadratic-assignment placement with tabu search) or 'none'. \
-           Applies to the default MaxSAT pipeline (first slice pin) and \
-           to any --engine that accepts a seed.")
+           Applies to any engine that accepts a seed; maxsat pins its \
+           first block to it.")
 
 let print_engine_list fmt () =
   List.iter
     (fun (e : Engines.Registry.t) ->
-      let caps = e.caps in
       let tags =
-        List.filter_map Fun.id
+        List.filter_map
+          (fun (on, tag) -> if on then Some tag else None)
           [
-            (if caps.Engines.Registry.optimal then Some "optimal" else None);
-            (if caps.Engines.Registry.anytime then Some "anytime" else None);
-            (if caps.Engines.Registry.commuting_only then Some "commuting-only"
-             else None);
-            (if caps.Engines.Registry.reorders_commuting then
-               Some "reorders-commuting"
-             else None);
-            (if caps.Engines.Registry.accepts_seed then Some "accepts-seed"
-             else None);
-            (if caps.Engines.Registry.places then Some "places" else None);
+            (e.caps.optimal, "optimal");
+            (e.caps.anytime, "anytime");
+            (e.caps.commuting_only, "commuting-only");
+            (e.caps.reorders_commuting, "reorders-commuting");
+            (e.caps.accepts_seed, "accepts-seed");
+            (e.caps.places, "places");
+            (e.caps.router_hooks, "router-hooks");
           ]
       in
-      Format.fprintf fmt "%-14s %s%s@." e.Engines.Registry.name
-        e.Engines.Registry.description
+      Format.fprintf fmt "%-14s %s%s@." e.name e.description
         (if tags = [] then "" else " [" ^ String.concat ", " tags ^ "]"))
     (Engines.Catalog.all ())
 
@@ -280,6 +277,24 @@ let lint_blocks =
            before solving it; any Warning-or-worse finding aborts the run \
            with exit code 3.")
 
+(* Trace and metrics exports, announced on [ppf]. *)
+let write_observability ppf trace metrics =
+  Option.iter
+    (fun path ->
+      Obs.Trace.write_chrome path;
+      Format.fprintf ppf "trace:         %s (%d events, %d dropped)@." path
+        (Obs.Trace.recorded ()) (Obs.Trace.dropped ()))
+    trace;
+  Option.iter
+    (fun path ->
+      Obs.Metrics.write_json path;
+      Format.fprintf ppf "metrics:       %s@." path)
+    metrics
+
+let objective_of ~noise device =
+  if noise then Satmap.Encoding.Fidelity (Arch.Calibration.synthetic device)
+  else Satmap.Encoding.Count_swaps
+
 let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
     parallel solver_jobs stats_flag certify lint_blocks trace metrics engine
     list_engines seed_placement =
@@ -295,21 +310,29 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
       Format.eprintf "route: a CIRCUIT.qasm argument is required@.";
       exit exit_parse_error
   in
-  let find_engine name =
-    match Engines.Catalog.find name with
+  (* [--engine] wins over [-m hybrid], the registry's hybrid engine;
+     every other [-m]/[-s]/[--parallel] choice is the SATMAP method the
+     [maxsat] engine runs (heuristic engines ignore it). *)
+  let engine_name =
+    match (engine, method_) with
+    | Some name, _ -> name
+    | None, `Hybrid -> "hybrid"
+    | None, (`Monolithic | `Sliced | `Cyclic) -> "maxsat"
+  in
+  let engine =
+    match Engines.Catalog.find engine_name with
     | Some e -> e
     | None ->
-      Format.eprintf "unknown engine %S; available engines:@.%a" name
+      Format.eprintf "unknown engine %S; available engines:@.%a" engine_name
         print_engine_list ();
       exit exit_parse_error
   in
-  (* [--engine] wins over [-m]; [-m hybrid] is the registry's hybrid
-     engine. *)
-  let dispatch =
-    match (engine, method_) with
-    | Some name, _ -> `Engine (find_engine name)
-    | None, `Hybrid -> `Engine (find_engine "hybrid")
-    | None, ((`Monolithic | `Sliced | `Cyclic) as method_) -> `Router method_
+  let method_ : Satmap.Router.method_ =
+    match (method_, slice_size) with
+    | `Monolithic, _ -> Monolithic
+    | `Cyclic, s -> Cyclic s
+    | (`Sliced | `Hybrid), Some s -> Sliced s
+    | (`Sliced | `Hybrid), None -> Portfolio { parallel }
   in
   let seed_placement =
     match seed_placement with
@@ -322,144 +345,82 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
   Sat.Solver.reset_totals ();
   Obs.Metrics.reset ();
   if trace <> None then Obs.Trace.enable ();
-  (* Exports run in both the success and the failure branch so a timed-out
-     or unsatisfiable route still leaves its timeline behind. *)
-  let finish_obs () =
-    Option.iter
-      (fun path ->
-        Obs.Trace.write_chrome path;
-        Format.printf "trace:         %s (%d events, %d dropped)@." path
-          (Obs.Trace.recorded ()) (Obs.Trace.dropped ()))
-      trace;
-    Option.iter
-      (fun path ->
-        Obs.Metrics.write_json path;
-        Format.printf "metrics:       %s@." path)
-      metrics
-  in
   let circuit = Quantum.Qasm.of_file qasm in
-  let objective =
-    if noise then
-      Satmap.Encoding.Fidelity (Arch.Calibration.synthetic device)
-    else Satmap.Encoding.Count_swaps
-  in
-  let seed_initial =
+  let initial_map =
     match seed_placement with
     | Some `Qap -> Some (Engines.Qap.place device circuit)
     | None -> None
   in
-  match dispatch with
-  | `Engine e -> (
-    let ecfg =
-      {
-        Engines.Registry.default_config with
-        timeout;
-        n_swaps;
-        slice_size = Option.value slice_size ~default:25;
-        objective;
-        initial = seed_initial;
-      }
-    in
-    match Engines.Registry.run e device circuit ecfg with
-    | Error msg ->
-      Format.eprintf "routing failed: %s@." msg;
-      if stats_flag then print_solver_stats ();
-      finish_obs ();
-      exit exit_routing_failure
-    | Ok (routed, m) ->
-      Format.printf "engine:        %s@." m.Engines.Registry.m_engine;
-      Format.printf "device:        %s@." (Arch.Device.name device);
-      Format.printf "two-qubit:     %d@."
-        (Quantum.Circuit.count_two_qubit circuit);
-      Format.printf "swaps added:   %d@." (Satmap.Routed.n_swaps routed);
-      Format.printf "added CNOTs:   %d@." (Satmap.Routed.added_cnots routed);
-      Format.printf "solve time:    %.2fs@." m.Engines.Registry.m_time;
-      Format.printf "optimal:       %b@." m.Engines.Registry.m_optimal;
-      Format.printf "verified:      true@.";
-      Format.printf "initial map:@.%a" print_mapping
-        (Satmap.Routed.initial routed);
-      if stats_flag then print_solver_stats ();
-      finish_obs ();
-      Option.iter
-        (fun path ->
-          Quantum.Qasm.to_file path (Satmap.Routed.circuit routed);
-          Format.printf "routed circuit written to %s@." path)
-        output)
-  | `Router method_ ->
   let config =
     {
-      Satmap.Router.default_config with
-      timeout;
-      objective;
-      n_swaps;
-      solver_parallelism = max 1 solver_jobs;
-      certify;
-      lint_blocks;
-      initial_map = seed_initial;
+      Engines.Registry.default_config with
+      router =
+        {
+          Satmap.Router.default_config with
+          timeout;
+          objective = objective_of ~noise device;
+          n_swaps;
+          solver_parallelism = max 1 solver_jobs;
+          certify;
+          lint_blocks;
+          initial_map;
+        };
+      method_;
     }
   in
   let span =
-    if Obs.Trace.enabled () then
-      Obs.Trace.start "cli.route"
-        ~args:
-          [
-            ("circuit", Obs.Trace.Str qasm);
-            ("device", Obs.Trace.Str (Arch.Device.name device));
-          ]
-    else Obs.Trace.null_span
-  in
-  let outcome =
-    match (method_, slice_size) with
-    | `Monolithic, _ -> Satmap.Router.route_monolithic ~config device circuit
-    | `Cyclic, s -> Satmap.Router.route_cyclic ~config ?slice_size:s device circuit
-    | `Sliced, Some s ->
-      Satmap.Router.route_sliced ~config ~slice_size:s device circuit
-    | `Sliced, None ->
-      if parallel then
-        fst (Satmap.Router.route_portfolio_parallel ~config device circuit)
-      else fst (Satmap.Router.route_portfolio ~config device circuit)
-  in
-  if span != Obs.Trace.null_span then
-    Obs.Trace.stop span
+    Obs.Trace.start "cli.route"
       ~args:
         [
-          ( "outcome",
-            Obs.Trace.Str
-              (match outcome with
-              | Satmap.Router.Routed _ -> "routed"
-              | Satmap.Router.Failed _ -> "failed") );
-        ];
-  match outcome with
-  | Satmap.Router.Failed msg ->
-    Format.eprintf "routing failed: %s@." msg;
-    if stats_flag then print_solver_stats ();
-    finish_obs ();
-    exit exit_routing_failure
-  | Satmap.Router.Routed (routed, stats) ->
+          ("circuit", Obs.Trace.Str qasm);
+          ("device", Obs.Trace.Str (Arch.Device.name device));
+        ]
+  in
+  let outcome = Engines.Registry.run engine device circuit config in
+  Obs.Trace.stop span
+    ~args:
+      [
+        ( "outcome",
+          Obs.Trace.Str (if Result.is_ok outcome then "routed" else "failed") );
+      ];
+  (match outcome with
+  | Error msg -> Format.eprintf "routing failed: %s@." msg
+  | Ok (routed, meta) ->
+    let stats f = Option.iter f meta.m_stats in
+    Format.printf "engine:        %s@." meta.m_engine;
     Format.printf "device:        %s@." (Arch.Device.name device);
     Format.printf "two-qubit:     %d@." (Quantum.Circuit.count_two_qubit circuit);
     Format.printf "swaps added:   %d@." (Satmap.Routed.n_swaps routed);
     Format.printf "added CNOTs:   %d@." (Satmap.Routed.added_cnots routed);
-    Format.printf "solve time:    %.2fs@." stats.time;
-    Format.printf "blocks:        %d (backtracks %d, escalations %d)@."
-      stats.n_blocks stats.n_backtracks stats.escalations;
-    Format.printf "optimal:       %b@." stats.proved_optimal;
+    Format.printf "solve time:    %.2fs@." meta.m_time;
+    stats (fun s ->
+        Format.printf "blocks:        %d (backtracks %d, escalations %d)@."
+          s.n_blocks s.n_backtracks s.escalations);
+    Format.printf "optimal:       %b@." meta.m_optimal;
     if certify then
-      Format.printf "certified:     %b (%d proofs checked, %d proof events, check %.3fs)%s@."
-        stats.certified stats.proofs_checked stats.proof_events
-        stats.certify_time
-        (if stats.proofs_checked = 0 then
-           " [vacuous: no infeasibility proofs to check]"
-         else "");
+      stats (fun s ->
+          Format.printf
+            "certified:     %b (%d proofs checked, %d proof events, check \
+             %.3fs)%s@."
+            s.certified s.proofs_checked s.proof_events s.certify_time
+            (if s.proofs_checked = 0 then
+               " [vacuous: no infeasibility proofs to check]"
+             else ""));
+    Format.printf "verified:      true@.";
     if noise then begin
       let cal = Arch.Calibration.synthetic device in
       Format.printf "est. fidelity: %.4f@."
         (Arch.Calibration.circuit_fidelity cal (Satmap.Routed.circuit routed))
     end;
     Format.printf "initial map:@.%a" print_mapping (Satmap.Routed.initial routed);
-    Format.printf "maxsat iters:  %d@." stats.maxsat_iterations;
-    if stats_flag then print_solver_stats ();
-    finish_obs ();
+    stats (fun s -> Format.printf "maxsat iters:  %d@." s.maxsat_iterations));
+  if stats_flag then print_solver_stats ();
+  (* Exports run on failure too, so a timed-out or unsatisfiable route
+     still leaves its timeline behind. *)
+  write_observability Format.std_formatter trace metrics;
+  match outcome with
+  | Error _ -> exit exit_routing_failure
+  | Ok (routed, _) ->
     Option.iter
       (fun path ->
         Quantum.Qasm.to_file path (Satmap.Routed.circuit routed);
@@ -481,11 +442,7 @@ let route_cmd =
 let lint_cmd_run device qasm n_swaps noise mutate list_mutations =
  guarded @@ fun () ->
   let circuit = Quantum.Qasm.of_file qasm in
-  let objective =
-    if noise then
-      Satmap.Encoding.Fidelity (Arch.Calibration.synthetic device)
-    else Satmap.Encoding.Count_swaps
-  in
+  let objective = objective_of ~noise device in
   (* The mutation corpus locates pairwise cardinality clauses, so seeded
      runs force the pairwise encoding; plain lint uses the default. *)
   let amo =
@@ -593,11 +550,7 @@ let stats_cmd =
 let export_cmd_run device qasm noise n_swaps out_path =
  guarded @@ fun () ->
   let circuit = Quantum.Qasm.of_file qasm in
-  let objective =
-    if noise then
-      Satmap.Encoding.Fidelity (Arch.Calibration.synthetic device)
-    else Satmap.Encoding.Count_swaps
-  in
+  let objective = objective_of ~noise device in
   let spec = Satmap.Encoding.spec ~n_swaps ~objective device in
   let enc = Satmap.Encoding.build spec circuit in
   let inst = Satmap.Encoding.instance enc in
@@ -713,19 +666,6 @@ let print_engine_stats engine =
     (Service.Block_cache.misses bc)
     (Service.Block_cache.length bc)
 
-let write_observability trace metrics =
-  Option.iter
-    (fun path ->
-      Obs.Trace.write_chrome path;
-      Format.eprintf "trace:         %s (%d events, %d dropped)@." path
-        (Obs.Trace.recorded ()) (Obs.Trace.dropped ()))
-    trace;
-  Option.iter
-    (fun path ->
-      Obs.Metrics.write_json path;
-      Format.eprintf "metrics:       %s@." path)
-    metrics
-
 let serve_cmd_run workers solver_jobs cache_size queue_capacity cache_file
     stdio listen shard no_admission max_request_bytes trace metrics =
  guarded @@ fun () ->
@@ -743,31 +683,29 @@ let serve_cmd_run workers solver_jobs cache_size queue_capacity cache_file
   if Service.Engine.restored_entries engine > 0 then
     Format.eprintf "cache: restored %d entries@."
       (Service.Engine.restored_entries engine);
+  let announce where shard_note =
+    Format.eprintf
+      "serving on %s (%d workers, %d solver jobs each, queue %d, cache %d%s)@."
+      where
+      (Service.Pool.workers (Service.Engine.pool engine))
+      (Service.Engine.solver_jobs engine)
+      (Service.Pool.capacity (Service.Engine.pool engine))
+      cache_size shard_note
+  in
   (match listen with
   | None ->
     (* Default transport: the stdio JSON-lines loop ([--stdio] makes
        the choice explicit).  [Engine.serve] shuts the pool down and
        persists the cache on EOF. *)
-    Format.eprintf
-      "serving on stdin (%d workers, %d solver jobs each, queue %d, cache \
-       %d)@."
-      (Service.Pool.workers (Service.Engine.pool engine))
-      (Service.Engine.solver_jobs engine)
-      (Service.Pool.capacity (Service.Engine.pool engine))
-      cache_size;
+    announce "stdin" "";
     Service.Engine.serve ~max_request_bytes engine stdin stdout
   | Some address ->
     let server =
       Serving.Server.start ~max_request_bytes ?shard
         ~admission:(not no_admission) engine address
     in
-    Format.eprintf
-      "serving on %s (%d workers, %d solver jobs each, queue %d, cache %d%s)@."
+    announce
       (Serving.Server.address_to_string (Serving.Server.address server))
-      (Service.Pool.workers (Service.Engine.pool engine))
-      (Service.Engine.solver_jobs engine)
-      (Service.Pool.capacity (Service.Engine.pool engine))
-      cache_size
       (match shard with
       | None -> ""
       | Some (i, n) -> Printf.sprintf ", shard %d/%d" i n);
@@ -777,7 +715,7 @@ let serve_cmd_run workers solver_jobs cache_size queue_capacity cache_file
     Service.Engine.shutdown engine;
     Service.Engine.save_cache engine);
   print_engine_stats engine;
-  write_observability trace metrics
+  write_observability Format.err_formatter trace metrics
 
 let serve_cmd =
   let workers =

@@ -742,12 +742,17 @@ let route_cyclic_body ?(config = default_config) ?slice_size ~repetitions
   if repetitions < 1 then invalid_arg "Router.route_cyclic_body";
   route_blocks ~config ~cyclic:true ~repetitions ?slice_size device body
 
+let default_slice_size = 25
+
 (* Auto-detect the repeated body. *)
 let route_cyclic ?(config = default_config) ?slice_size device circuit =
   match Quantum.Circuit.detect_repetition circuit with
   | Some (body, repetitions) when repetitions >= 2 ->
     route_cyclic_body ~config ?slice_size ~repetitions device body
-  | Some _ | None -> route_sliced ~config ~slice_size:(Option.value slice_size ~default:25) device circuit
+  | Some _ | None ->
+    route_sliced ~config
+      ~slice_size:(Option.value slice_size ~default:default_slice_size)
+      device circuit
 
 (* ------------------------------------------------------------------ *)
 (* Portfolio: the paper's reporting mode — try several slice sizes, keep
@@ -808,14 +813,8 @@ let route_portfolio_parallel ?(config = default_config)
   let rec chunks = function
     | [] -> []
     | xs ->
-      let rec take n = function
-        | x :: tl when n > 0 ->
-          let hd, rest = take (n - 1) tl in
-          (x :: hd, rest)
-        | rest -> ([], rest)
-      in
-      let group, rest = take max_live xs in
-      group :: chunks rest
+      List.filteri (fun i _ -> i < max_live) xs
+      :: chunks (List.filteri (fun i _ -> i >= max_live) xs)
   in
   best_of
     (List.concat_map
@@ -823,3 +822,23 @@ let route_portfolio_parallel ?(config = default_config)
          let domains = List.map spawn group in
          List.map (fun (size, d) -> (size, Domain.join d)) domains)
        (chunks sizes))
+
+(* ------------------------------------------------------------------ *)
+(* One method value: the only place a method becomes a [route_*] call. *)
+
+type method_ =
+  | Monolithic
+  | Sliced of int
+  | Cyclic of int option
+  | Portfolio of { parallel : bool }
+
+let route ?(config = default_config) method_ device circuit =
+  match method_ with
+  | Monolithic -> route_monolithic ~config device circuit
+  | Sliced slice_size -> route_sliced ~config ~slice_size device circuit
+  | Cyclic slice_size -> route_cyclic ~config ?slice_size device circuit
+  | Portfolio { parallel } ->
+    let portfolio =
+      if parallel then route_portfolio_parallel else route_portfolio
+    in
+    fst (portfolio ~config device circuit)

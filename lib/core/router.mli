@@ -242,10 +242,14 @@ val route_cyclic_body :
 (** Route [body] once under the cyclic constraint, then repeat the
     solution [repetitions] times. *)
 
+val default_slice_size : int
+(** 25: the slice size a sliced route uses when none is given. *)
+
 val route_cyclic :
   ?config:config -> ?slice_size:int -> Arch.Device.t -> Quantum.Circuit.t -> outcome
-(** Auto-detect the repeated body; falls back to sliced routing when the
-    circuit is not cyclic. *)
+(** Auto-detect the repeated body; falls back to sliced routing (at
+    [slice_size], default {!default_slice_size}) when the circuit is not
+    cyclic. *)
 
 val route_portfolio :
   ?config:config ->
@@ -266,3 +270,16 @@ val route_portfolio_parallel :
     wall-clock is the slowest member instead of the sum.  Spawns are
     chunked at [Domain.recommended_domain_count () - 1] live domains so
     a large portfolio does not oversubscribe the machine. *)
+
+type method_ =
+  | Monolithic  (** {!route_monolithic} *)
+  | Sliced of int  (** {!route_sliced} at this slice size *)
+  | Cyclic of int option  (** {!route_cyclic}, sliced when given a size *)
+  | Portfolio of { parallel : bool }
+      (** the default sizes through {!route_portfolio}, or
+          {!route_portfolio_parallel} when [parallel]; the best outcome *)
+
+val route :
+  ?config:config -> method_ -> Arch.Device.t -> Quantum.Circuit.t -> outcome
+(** Run one method.  Front-ends (CLI, serve tier, engine registry) route
+    through this, so a method means the same thing everywhere. *)

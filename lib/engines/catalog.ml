@@ -1,62 +1,58 @@
 (* The builtin engine catalogue and name table.
 
    Every routing path in the repo is wrapped behind the [Registry.t]
-   contract: the MaxSAT reference router (sliced, seeded via
+   contract: the MaxSAT reference router (every SATMAP method, seeded via
    [Router.config.initial_map]), the three heuristic baselines, the
    hybrid MaxSAT-mapping + SABRE pipeline, and the two engines new to
    this subsystem — [swap_strategy] and [qap].  Callers go through
    [find]/[all]/[names]; [register] is the extension point. *)
 
 let seeded placement cfg =
-  match (cfg : Registry.config).initial with
+  match (cfg : Registry.config).router.initial_map with
   | Some a -> Array.copy a
   | None -> placement ()
 
+(* The registry wrapper verifies uniformly, so the router does not. *)
 let maxsat_route device circuit (cfg : Registry.config) =
-  let config =
-    {
-      Satmap.Router.default_config with
-      timeout = cfg.timeout;
-      n_swaps = cfg.n_swaps;
-      objective = cfg.objective;
-      initial_map = cfg.initial;
-      (* the registry wrapper verifies uniformly *)
-      verify = false;
-    }
-  in
   match
-    Satmap.Router.route_sliced ~config ~slice_size:cfg.slice_size device circuit
+    Satmap.Router.route ~config:{ cfg.router with verify = false } cfg.method_
+      device circuit
   with
-  | Satmap.Router.Routed (routed, stats) ->
-    Ok (routed, stats.Satmap.Router.proved_optimal)
+  | Satmap.Router.Routed (routed, stats) -> Ok (routed, Some stats)
   | Satmap.Router.Failed msg -> Error msg
 
 let sabre_route device circuit (cfg : Registry.config) =
   let config = { Heuristics.Sabre.default_config with seed = cfg.seed } in
   let routed =
-    match cfg.initial with
+    match cfg.router.initial_map with
     | Some initial -> Heuristics.Sabre.route_from ~config ~initial device circuit
     | None -> Heuristics.Sabre.route ~config device circuit
   in
-  Ok (routed, false)
+  Ok (routed, None)
 
 let astar_route device circuit (cfg : Registry.config) =
   let config = { Heuristics.Astar_route.default_config with seed = cfg.seed } in
-  Ok (Heuristics.Astar_route.route ~config ?initial:cfg.initial device circuit, false)
+  Ok
+    ( Heuristics.Astar_route.route ~config ?initial:cfg.router.initial_map
+        device circuit,
+      None )
 
 let tket_route device circuit (cfg : Registry.config) =
   let config = { Heuristics.Tket_route.default_config with seed = cfg.seed } in
-  Ok (Heuristics.Tket_route.route ~config ?initial:cfg.initial device circuit, false)
+  Ok
+    ( Heuristics.Tket_route.route ~config ?initial:cfg.router.initial_map
+        device circuit,
+      None )
 
 let hybrid_route device circuit (cfg : Registry.config) =
   let config =
     {
-      Heuristics.Hybrid.timeout = cfg.timeout;
+      Heuristics.Hybrid.timeout = cfg.router.timeout;
       verify = false;
       sabre = { Heuristics.Sabre.default_config with seed = cfg.seed };
     }
   in
-  Ok (Heuristics.Hybrid.route ~config device circuit, false)
+  Ok (Heuristics.Hybrid.route ~config device circuit, None)
 
 let qap_place device circuit (cfg : Registry.config) =
   Qap.place ~seed:cfg.seed device circuit
@@ -64,7 +60,7 @@ let qap_place device circuit (cfg : Registry.config) =
 let qap_route device circuit (cfg : Registry.config) =
   let initial = seeded (fun () -> qap_place device circuit cfg) cfg in
   let config = { Heuristics.Sabre.default_config with seed = cfg.seed } in
-  Ok (Heuristics.Sabre.route_from ~config ~initial device circuit, false)
+  Ok (Heuristics.Sabre.route_from ~config ~initial device circuit, None)
 
 let no_caps =
   {
@@ -74,6 +70,7 @@ let no_caps =
     reorders_commuting = false;
     accepts_seed = false;
     places = false;
+    router_hooks = false;
   }
 
 let builtins : Registry.t list =
@@ -81,9 +78,17 @@ let builtins : Registry.t list =
     {
       name = "maxsat";
       description =
-        "the paper's sliced MaxSAT router (locally optimal; globally \
-         optimal when one block suffices)";
-      caps = { no_caps with optimal = true; anytime = true; accepts_seed = true };
+        "the paper's MaxSAT router: monolithic, sliced, cyclic or the \
+         slice-size portfolio (globally optimal when one non-cyclic block \
+         suffices)";
+      caps =
+        {
+          no_caps with
+          optimal = true;
+          anytime = true;
+          accepts_seed = true;
+          router_hooks = true;
+        };
       route = maxsat_route;
       place = None;
     };

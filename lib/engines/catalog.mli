@@ -1,6 +1,7 @@
 (** Builtin engine catalogue and name table.
 
-    Builtins: [maxsat] (the paper's sliced MaxSAT router), [sabre],
+    Builtins: [maxsat] (the paper's MaxSAT router, every SATMAP method),
+    [sabre],
     [astar], [tket], [hybrid], [swap_strategy] and [qap]. *)
 
 val register : Registry.t -> unit

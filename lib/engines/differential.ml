@@ -75,7 +75,13 @@ let run ?(engines = Catalog.names ()) ?(config = Registry.default_config)
     device circuit =
   (* Verification is the point of the harness; seeding would turn the
      maxsat row into a seeded (non-global) optimum, so strip both. *)
-  let config = { config with Registry.verify = true; initial = None } in
+  let config =
+    {
+      config with
+      Registry.router =
+        { config.Registry.router with verify = true; initial_map = None };
+    }
+  in
   let rows =
     List.map
       (fun name ->

@@ -22,37 +22,31 @@ type caps = {
       (** may emit commuting gates out of program order: solves a
           relaxation of the order-preserving problem, so the MaxSAT
           optimum is not a lower bound for it (see [Differential]) *)
-  accepts_seed : bool;  (** honours {!config.initial} *)
+  accepts_seed : bool;  (** honours [config.router.initial_map] *)
   places : bool;  (** exposes a standalone placement ({!t.place}) *)
+  router_hooks : bool;
+      (** honours the [Router.config] serving hooks (block cache, warm
+          session, progress, solver jobs, certify, lint) *)
 }
 
 type config = {
-  timeout : float;
-  n_swaps : int;  (** the paper's n: swap slots per gate (MaxSAT engines) *)
-  slice_size : int;
-  objective : Satmap.Encoding.objective;
-  seed : int;
-  initial : int array option;
-      (** external initial placement (log -> phys) for engines with
-          [accepts_seed] *)
-  verify : bool;  (** run [Verifier.check_exn] on every output *)
+  router : Satmap.Router.config;
+  method_ : Satmap.Router.method_;  (** the SATMAP method [maxsat] runs *)
+  seed : int;  (** heuristic tie-breaking seed *)
 }
 
 let default_config =
   {
-    timeout = 30.0;
-    n_swaps = 1;
-    slice_size = 25;
-    objective = Satmap.Encoding.Count_swaps;
+    router = Satmap.Router.default_config;
+    method_ = Satmap.Router.Sliced Satmap.Router.default_slice_size;
     seed = 1;
-    initial = None;
-    verify = true;
   }
 
 type meta = {
   m_engine : string;
   m_time : float;  (** wall-clock seconds inside the engine *)
   m_optimal : bool;  (** the reported cost is a proved optimum *)
+  m_stats : Satmap.Router.stats option;  (** the MaxSAT route's stats *)
 }
 
 type outcome = (Satmap.Routed.t * meta, string) result
@@ -65,9 +59,9 @@ type t = {
     Arch.Device.t ->
     Quantum.Circuit.t ->
     config ->
-    (Satmap.Routed.t * bool, string) result;
-      (** raw route; the [bool] is the proved-optimal flag.  Call through
-          {!run}, which adds the span, timing, verification and exception
+    (Satmap.Routed.t * Satmap.Router.stats option, string) result;
+      (** raw route, with the MaxSAT route's stats.  Call through {!run},
+          which adds the span, timing, verification and exception
           guard. *)
   place : (Arch.Device.t -> Quantum.Circuit.t -> config -> int array) option;
 }
@@ -97,20 +91,24 @@ let run engine device circuit config : outcome =
   | Error msg ->
     Obs.Metrics.incr m_failures;
     Error (Printf.sprintf "%s: %s" engine.name msg)
-  | Ok (routed, optimal) -> (
-    let verified =
-      if not config.verify then Ok ()
-      else
-        match Satmap.Verifier.check ~original:circuit routed with
-        | [] -> Ok ()
-        | failures ->
-          Error
-            (String.concat "; "
-               (List.map Satmap.Verifier.failure_to_string failures))
-    in
-    match verified with
-    | Error msg ->
+  | Ok (routed, stats) -> (
+    match
+      if not config.router.verify then []
+      else Satmap.Verifier.check ~original:circuit routed
+    with
+    | _ :: _ as failures ->
       Obs.Metrics.incr m_failures;
-      Error (Printf.sprintf "%s: verifier rejected output: %s" engine.name msg)
-    | Ok () ->
-      Ok (routed, { m_engine = engine.name; m_time = elapsed; m_optimal = optimal }))
+      Error
+        (Printf.sprintf "%s: verifier rejected output: %s" engine.name
+           (String.concat "; "
+              (List.map Satmap.Verifier.failure_to_string failures)))
+    | [] ->
+      Ok
+        ( routed,
+          {
+            m_engine = engine.name;
+            m_time = elapsed;
+            m_optimal =
+              (match stats with Some s -> s.proved_optimal | None -> false);
+            m_stats = stats;
+          } ))

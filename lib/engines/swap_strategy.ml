@@ -174,10 +174,10 @@ let route device circuit (cfg : Registry.config) =
       "swap_strategy requires every two-qubit gate to be Z-diagonal \
        (Cz/Rzz); use another engine for general circuits"
   else begin
-    let deadline = Unix.gettimeofday () +. cfg.timeout in
+    let deadline = Unix.gettimeofday () +. cfg.router.timeout in
     let rounds = strategy device in
     let initial =
-      match cfg.initial with
+      match cfg.router.initial_map with
       | Some a -> Array.copy a
       | None ->
         if Quantum.Circuit.count_two_qubit circuit = 0 then
@@ -281,5 +281,5 @@ let route device circuit (cfg : Registry.config) =
         ~final:(Satmap.Mapping.of_array ~n_phys cur)
         ~circuit:physical
     in
-    Ok (routed, false)
+    Ok (routed, None)
   end

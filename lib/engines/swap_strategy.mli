@@ -16,6 +16,6 @@ val route :
   Arch.Device.t ->
   Quantum.Circuit.t ->
   Registry.config ->
-  (Satmap.Routed.t * bool, string) result
+  (Satmap.Routed.t * Satmap.Router.stats option, string) result
 (** Errors on unsupported (non-commuting) circuits rather than falling
     back silently. *)

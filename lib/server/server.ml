@@ -192,20 +192,11 @@ let process t ~respond line =
                       "request expired while queued" )
                 else
                   try
-                    match
-                      Service.Engine.handle_prepared ~deadline
-                        ~on_progress:(fun ~block ~iteration ~cost ->
-                          Single_flight.progress t.flights key
-                            (block, iteration, cost))
-                        t.engine prepared
-                    with
-                    | Ok (payload, hit) -> Ok (payload, hit)
-                    | Error (Service.Protocol.Error_response e) ->
-                      Error (e.code, e.message)
-                    | Error _ ->
-                      Error
-                        ( Service.Protocol.Routing_failed,
-                          "unexpected non-error response" )
+                    Service.Engine.handle_prepared ~deadline
+                      ~on_progress:(fun ~block ~iteration ~cost ->
+                        Single_flight.progress t.flights key
+                          (block, iteration, cost))
+                      t.engine prepared
                   with e ->
                     Error
                       (Service.Protocol.Routing_failed, Printexc.to_string e)

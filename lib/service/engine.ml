@@ -68,6 +68,17 @@ let save_cache t =
 
 let err id code message = Protocol.Error_response { id; code; message }
 
+(* The one place a protocol method (plus its optional slice size) becomes
+   a router method. *)
+let router_method (req : Protocol.request) : Satmap.Router.method_ =
+  match req.method_ with
+  | Protocol.Monolithic -> Monolithic
+  | Protocol.Sliced ->
+    Sliced
+      (Option.value req.slice_size ~default:Satmap.Router.default_slice_size)
+  | Protocol.Cyclic -> Cyclic req.slice_size
+  | Protocol.Portfolio -> Portfolio { parallel = false }
+
 (* Everything the answer depends on beyond the canonical circuit.  The
    config digest covers the encoding knobs and the objective (which
    folds in the calibration under [noise]); timeout is included because
@@ -85,26 +96,25 @@ let request_key (req : Protocol.request) config device canon_circuit =
       Canon.device_digest device;
       Canon.config_digest config;
       Canon.circuit_digest canon_circuit;
-      (match req.method_ with
-      | Sliced -> Printf.sprintf "sliced:%d" (Option.value req.slice_size ~default:25)
+      (match router_method req with
+      | Sliced s -> Printf.sprintf "sliced:%d" s
       | Monolithic -> "monolithic"
-      | Cyclic -> (
-        match req.slice_size with
-        | Some s -> Printf.sprintf "cyclic:%d" s
-        | None -> "cyclic")
-      | Portfolio -> "portfolio");
+      | Cyclic (Some s) -> Printf.sprintf "cyclic:%d" s
+      | Cyclic None -> "cyclic"
+      | Portfolio _ -> "portfolio");
       string_of_int req.n_swaps;
       Printf.sprintf "%.17g" req.timeout;
     ]
 
 (* Everything request-level that can be computed without the engine:
-   device resolution, QASM parsing, canonicalization, and the cache /
-   single-flight key.  The socket server runs [prepare] on the
-   connection thread (cheap, and the key decides shard ownership and
+   engine lookup, device resolution, QASM parsing, canonicalization, and
+   the cache / single-flight key.  The socket server runs [prepare] on
+   the connection thread (cheap, and the key decides shard ownership and
    single-flight membership before any pool slot is taken) and
    [handle_prepared] on a pool worker. *)
 type prepared = {
   p_req : Protocol.request;
+  p_engine : Engines.Registry.t;
   p_device : Arch.Device.t;
   p_perm : int array;
   p_canon : Quantum.Circuit.t;
@@ -116,12 +126,13 @@ let objective_of (req : Protocol.request) device =
   else Satmap.Encoding.Count_swaps
 
 let prepare (req : Protocol.request) =
-  if Engines.Catalog.find req.engine = None then
+  match Engines.Catalog.find req.engine with
+  | None ->
     Error
       (err req.id Protocol.Bad_request
          (Printf.sprintf "unknown engine %S (available: %s)" req.engine
             (String.concat ", " (Engines.Catalog.names ()))))
-  else
+  | Some engine -> (
   match Arch.Topologies.by_name req.device with
   | None ->
     Error
@@ -145,15 +156,15 @@ let prepare (req : Protocol.request) =
       Ok
         {
           p_req = req;
+          p_engine = engine;
           p_device = device;
           p_perm = perm;
           p_canon = canon;
           p_key = request_key req key_config device canon;
-        })
+        }))
 
 let canonical_key req = Result.map (fun p -> p.p_key) (prepare req)
 let prepared_key p = p.p_key
-let prepared_request p = p.p_req
 
 let finalize (p : prepared) (stored : Protocol.ok_payload) ~cache_hit
     ~coalesced ~time =
@@ -168,9 +179,10 @@ let finalize (p : prepared) (stored : Protocol.ok_payload) ~cache_hit
   }
 
 (* A route's reply as cached: in canonical space, with neutral
-   identity/timing fields that [finalize] fills per caller. *)
-let canonical_payload routed ~blocks ~backtracks ~proved_optimal ~iterations
-    ~solver_calls =
+   identity/timing fields that [finalize] fills per caller.  Engines
+   without MaxSAT stats report one block and no solver work. *)
+let canonical_payload routed (meta : Engines.Registry.meta) =
+  let stat f ~none = Option.fold ~none ~some:f meta.m_stats in
   {
     Protocol.ok_id = "";
     ok_qasm = Quantum.Qasm.to_string (Satmap.Routed.circuit routed);
@@ -179,54 +191,31 @@ let canonical_payload routed ~blocks ~backtracks ~proved_optimal ~iterations
     ok_swaps = Satmap.Routed.n_swaps routed;
     ok_added_cnots = Satmap.Routed.added_cnots routed;
     ok_depth = Satmap.Routed.depth routed;
-    ok_blocks = blocks;
-    ok_backtracks = backtracks;
-    ok_proved_optimal = proved_optimal;
-    ok_maxsat_iterations = iterations;
-    ok_solver_calls = solver_calls;
+    ok_blocks = stat (fun s -> s.Satmap.Router.n_blocks) ~none:1;
+    ok_backtracks = stat (fun s -> s.Satmap.Router.n_backtracks) ~none:0;
+    ok_proved_optimal = meta.m_optimal;
+    ok_maxsat_iterations =
+      stat (fun s -> s.Satmap.Router.maxsat_iterations) ~none:0;
+    ok_solver_calls = stat (fun s -> s.Satmap.Router.solver_calls) ~none:0;
     ok_cache_hit = false;
     ok_coalesced = false;
     ok_time = 0.;
   }
 
-let route_canonical (req : Protocol.request) config device canon =
-  match req.method_ with
-  | Protocol.Monolithic -> Satmap.Router.route_monolithic ~config device canon
-  | Protocol.Sliced ->
-    Satmap.Router.route_sliced ~config
-      ~slice_size:(Option.value req.slice_size ~default:25)
-      device canon
-  | Protocol.Cyclic ->
-    Satmap.Router.route_cyclic ~config ?slice_size:req.slice_size device canon
-  | Protocol.Portfolio ->
-    fst (Satmap.Router.route_portfolio ~config device canon)
-
 let handle_prepared ?deadline ?on_progress t (p : prepared) =
   let req = p.p_req in
-  let start = Unix.gettimeofday () in
+  Obs.Metrics.incr m_requests;
+  Obs.Trace.with_span "service.request"
+    ~args:[ ("id", Obs.Trace.Str req.id); ("device", Obs.Trace.Str req.device) ]
+  @@ fun () ->
   let budget =
     match deadline with
-    | Some d -> Float.min req.timeout (d -. start)
+    | Some d -> Float.min req.timeout (d -. Unix.gettimeofday ())
     | None -> req.timeout
   in
   if budget <= 0. then
-    Error
-      (err req.id Protocol.Deadline_exceeded
-         "deadline passed before routing began")
-  else begin
-    let config =
-      {
-        Satmap.Router.default_config with
-        timeout = budget;
-        objective = objective_of req p.p_device;
-        n_swaps = req.n_swaps;
-        solver_parallelism = t.solver_jobs;
-        block_cache =
-          (if req.use_cache then Some (Block_cache.hook t.block_cache)
-           else None);
-        on_improvement = on_progress;
-      }
-    in
+    Error (Protocol.Deadline_exceeded, "deadline passed before routing began")
+  else
     let cached =
       if req.use_cache then
         Obs.Trace.with_span "service.cache_lookup"
@@ -234,93 +223,66 @@ let handle_prepared ?deadline ?on_progress t (p : prepared) =
           (fun () -> Cache.find t.serve_cache p.p_key)
       else None
     in
-    let store payload =
-      if req.use_cache then Cache.add t.serve_cache p.p_key payload;
-      Ok (payload, false)
-    in
     match cached with
     | Some stored -> Ok (stored, true)
-    | None when req.engine <> Protocol.default_request.engine -> (
-      (* Non-default engines dispatch through the registry (which
-         verifies the output).  Warm sessions and the block cache are
-         MaxSAT internals, so they are skipped; the result still lands
-         in the request cache under the engine-tagged key. *)
-      let ecfg =
+    | None -> (
+      (* The hooks reach only engines with [router_hooks]; the others
+         ignore them. *)
+      let router =
         {
-          Engines.Registry.default_config with
+          Satmap.Router.default_config with
           timeout = budget;
-          n_swaps = req.n_swaps;
-          slice_size = Option.value req.slice_size ~default:25;
           objective = objective_of req p.p_device;
+          n_swaps = req.n_swaps;
+          solver_parallelism = t.solver_jobs;
+          block_cache =
+            (if req.use_cache then Some (Block_cache.hook t.block_cache)
+             else None);
+          on_improvement = on_progress;
         }
       in
-      match
-        Engines.Catalog.route ~engine:req.engine p.p_device p.p_canon ecfg
-      with
-      | Error msg -> Error (err req.id Protocol.Routing_failed msg)
-      | Ok (routed, meta) ->
-        store
-          (canonical_payload routed ~blocks:1 ~backtracks:0
-             ~proved_optimal:meta.Engines.Registry.m_optimal ~iterations:0
-             ~solver_calls:0))
-    | None -> (
+      let method_ = router_method req in
+      let run router =
+        Engines.Registry.run p.p_engine p.p_device p.p_canon
+          { Engines.Registry.default_config with router; method_ }
+      in
       (* Warm the incremental session from the cross-request pool when
-         this config would use one at all; the session is exclusively
+         this route would use one at all; the session is exclusively
          owned for the duration of the route and parked again after,
          solver state (skeleton clauses, learnt clauses, descent-bound
          selectors) intact for the next request of the same shape. *)
-      let route config =
-        match Satmap.Router.session_for config with
-        | None -> route_canonical req config p.p_device p.p_canon
-        | Some _ ->
-          let wkey =
-            Warm.key ~device:p.p_device ~config ~n_swaps:req.n_swaps
-          in
+      let outcome () =
+        if
+          p.p_engine.caps.router_hooks
+          && Satmap.Router.session_for router <> None
+        then begin
+          let wkey = Warm.key ~device:p.p_device ~config:router in
           let session = Warm.acquire t.warm ~key:wkey in
           Fun.protect
             ~finally:(fun () -> Warm.release t.warm ~key:wkey session)
-            (fun () ->
-              route_canonical req
-                { config with warm_session = Some session }
-                p.p_device p.p_canon)
+            (fun () -> run { router with warm_session = Some session })
+        end
+        else run router
       in
-      match route config with
-      | exception e ->
-        Error (err req.id Protocol.Routing_failed (Printexc.to_string e))
-      | Satmap.Router.Failed msg ->
-        Error (err req.id Protocol.Routing_failed msg)
-      | Satmap.Router.Routed (routed, stats) ->
-        store
-          (canonical_payload routed ~blocks:stats.Satmap.Router.n_blocks
-             ~backtracks:stats.n_backtracks
-             ~proved_optimal:stats.proved_optimal
-             ~iterations:stats.maxsat_iterations
-             ~solver_calls:stats.solver_calls))
-  end
+      match outcome () with
+      | exception e -> Error (Protocol.Routing_failed, Printexc.to_string e)
+      | Error msg -> Error (Protocol.Routing_failed, msg)
+      | Ok (routed, meta) ->
+        let payload = canonical_payload routed meta in
+        if req.use_cache then Cache.add t.serve_cache p.p_key payload;
+        Ok (payload, false))
 
 let handle ?deadline ?on_progress t (req : Protocol.request) =
-  Obs.Metrics.incr m_requests;
-  Obs.Trace.with_span "service.request"
-    ~args:[ ("id", Obs.Trace.Str req.id); ("device", Obs.Trace.Str req.device) ]
-  @@ fun () ->
   let start = Unix.gettimeofday () in
-  let budget =
-    match deadline with
-    | Some d -> Float.min req.timeout (d -. start)
-    | None -> req.timeout
-  in
-  if budget <= 0. then
-    err req.id Protocol.Deadline_exceeded "deadline passed before routing began"
-  else
-    match prepare req with
-    | Error response -> response
-    | Ok p -> (
-      match handle_prepared ?deadline ?on_progress t p with
-      | Error response -> response
-      | Ok (stored, cache_hit) ->
-        Protocol.Ok_response
-          (finalize p stored ~cache_hit ~coalesced:false
-             ~time:(Unix.gettimeofday () -. start)))
+  match prepare req with
+  | Error response -> response
+  | Ok p -> (
+    match handle_prepared ?deadline ?on_progress t p with
+    | Error (code, message) -> err req.id code message
+    | Ok (stored, cache_hit) ->
+      Protocol.Ok_response
+        (finalize p stored ~cache_hit ~coalesced:false
+           ~time:(Unix.gettimeofday () -. start)))
 
 (* ---- the JSON-lines loop ------------------------------------------ *)
 

@@ -1,17 +1,20 @@
-(** The routing service: a worker pool in front of {!Satmap.Router} with
-    a canonicalization-keyed result cache at two levels.
+(** The routing service: a worker pool in front of the engine registry
+    ({!Engines.Registry.run}, one path for every engine) with a
+    canonicalization-keyed result cache at two levels.
 
     - {e Request level}: the full response payload, keyed by
       {!Canon.circuit_digest} of the canonical circuit plus everything
-      else the answer depends on (device, objective, method, slice size,
-      swap budget, timeout).  A hit skips routing entirely; the stored
-      canonical initial/final maps are translated back to the request's
-      qubit labels, so the response is byte-identical to the cold one
-      apart from [cache_hit] and [time_s].
+      else the answer depends on (engine, device, objective, method,
+      slice size, swap budget, timeout).  A hit skips routing entirely;
+      the stored canonical initial/final maps are translated back to the
+      request's qubit labels, so the response is byte-identical to the
+      cold one apart from [cache_hit] and [time_s].
     - {e Block level}: a shared {!Block_cache} plugged into
       [Router.config.block_cache], so even cold requests reuse
       (locally) optimal slice solutions across requests — repeated-body
-      workloads stop paying {!Maxsat.Optimizer.solve} per block.
+      workloads stop paying {!Maxsat.Optimizer.solve} per block.  This
+      hook, the warm sessions and progress reach only engines with
+      [caps.router_hooks] ([maxsat]).
 
     [handle] is safe to call from any number of domains concurrently;
     [serve] runs the JSON-lines loop of [satmap serve] on top of
@@ -51,7 +54,7 @@ val handle :
     deadline returns [Deadline_exceeded] without routing.
     [on_progress] is forwarded to [Router.config.on_improvement] (one
     call per satisfiable MaxSAT iteration — the anytime-streaming
-    hook).  Wrapped in a ["service.request"] span. *)
+    hook).  Exactly [prepare] + {!handle_prepared} + [finalize]. *)
 
 (** {2 Split request lifecycle}
 
@@ -62,19 +65,18 @@ val handle :
     [handle] is exactly [prepare] + [handle_prepared] + [finalize]. *)
 
 type prepared
-(** Device resolved, QASM parsed, circuit canonicalized, key computed —
-    everything derivable from the request alone (no engine state). *)
+(** Engine looked up, device resolved, QASM parsed, circuit
+    canonicalized, key computed — everything derivable from the request
+    alone (no engine state). *)
 
 val prepare : Protocol.request -> (prepared, Protocol.response) result
-(** [Error] carries the documented [unknown_device] / [parse_error]
-    response for the request's [id]. *)
+(** [Error] carries the documented [bad_request] (unknown engine) /
+    [unknown_device] / [parse_error] response for the request's [id]. *)
 
 val prepared_key : prepared -> string
 (** The request-level cache key: canonical-circuit digest + device +
     objective + method/slice/swap-budget/timeout.  Two requests with
     equal keys are answerable by one canonical-space payload. *)
-
-val prepared_request : prepared -> Protocol.request
 
 val canonical_key : Protocol.request -> (string, Protocol.response) result
 (** [prepare] + [prepared_key]; what the shard router hashes. *)
@@ -84,10 +86,15 @@ val handle_prepared :
   ?on_progress:(block:int -> iteration:int -> cost:int -> unit) ->
   t ->
   prepared ->
-  (Protocol.ok_payload * bool, Protocol.response) result
-(** Route (or hit the request cache).  [Ok (payload, cache_hit)] is in
-    {e canonical} qubit space with neutral id/timing fields — pass it
-    through {!finalize} before replying.  Safe from any domain. *)
+  (Protocol.ok_payload * bool, Protocol.error_code * string) result
+(** Route (or hit the request cache) through {!Engines.Registry.run}.
+    [Ok (payload, cache_hit)] is in {e canonical} qubit space with
+    neutral id/timing fields — pass it through {!finalize} before
+    replying.  [Error (code, message)] is the error reply's body; an
+    already-expired [deadline] gives [Deadline_exceeded] without
+    routing.  Every call (stdin loop and socket server alike)
+    counts in [service.requests] and is wrapped in a ["service.request"]
+    span.  Safe from any domain. *)
 
 val finalize :
   prepared ->

@@ -48,15 +48,17 @@ type request = {
   device : string;  (** resolved via {!Arch.Topologies.by_name} *)
   method_ : method_;
   engine : string;
-      (** routing engine from the [Engines] catalogue; the default
-          ["maxsat"] keeps the classic [method_]-driven pipeline, any
-          other name dispatches through the registry (ignoring
-          [method_]).  Unknown names answer [Bad_request] with the
-          engine list.  Absent on the wire means ["maxsat"], and the
-          field is serialised only when non-default, so pre-engine
-          clients and persisted caches interoperate.  Part of the cache
-          key: replies never cross engines. *)
-  slice_size : int option;  (** [Sliced] only; default 25 *)
+      (** routing engine from the [Engines] catalogue; every engine
+          routes through the registry.  The default ["maxsat"] runs
+          [method_] / [slice_size] with the serving hooks (block cache,
+          warm sessions, progress); heuristic engines ignore all three.
+          Unknown names answer [Bad_request] with the engine list.
+          Absent on the wire means ["maxsat"], and the field is
+          serialised only when non-default, so pre-engine clients and
+          persisted caches interoperate.  Part of the cache key: replies
+          never cross engines. *)
+  slice_size : int option;
+      (** [Sliced] (default [Router.default_slice_size]) and [Cyclic] *)
   n_swaps : int;
   timeout : float;  (** seconds; the job's deadline starts at submission *)
   noise : bool;  (** fidelity objective from synthetic calibration *)

@@ -19,13 +19,13 @@ let create ?(capacity = 8) ?(window = 16) () =
     window;
   }
 
-let key ~device ~config ~n_swaps =
+let key ~device ~(config : Satmap.Router.config) =
   Canon.digest_parts
     [
       "satmap-warm/v1";
       Canon.device_digest device;
       Canon.config_digest config;
-      string_of_int n_swaps;
+      string_of_int config.n_swaps;
     ]
 
 let with_lock t f =

@@ -26,10 +26,9 @@ val create : ?capacity:int -> ?window:int -> unit -> t
     forwarded to {!Satmap.Encoding.Session.create} for sessions minted
     on a miss. *)
 
-val key :
-  device:Arch.Device.t -> config:Satmap.Router.config -> n_swaps:int -> string
+val key : device:Arch.Device.t -> config:Satmap.Router.config -> string
 (** Canonical fingerprint: device topology digest, the config's encoding
-    knobs ({!Canon.config_digest}), and the request's swap budget. *)
+    knobs ({!Canon.config_digest}), and its swap budget [n_swaps]. *)
 
 val acquire : t -> key:string -> Satmap.Encoding.Session.t
 (** Check out a parked session for [key], or mint a fresh one. *)

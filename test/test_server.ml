@@ -291,6 +291,37 @@ let test_server_stop_idempotent () =
       Serving.Server.stop server;
       Serving.Server.stop server)
 
+(* A socket-served request goes through the same routing function as a
+   stdin one, so it is spanned and counted like one. *)
+let test_server_request_spanned_and_counted () =
+  let requests = Obs.Metrics.counter "service.requests" in
+  let before = Obs.Metrics.value requests in
+  Obs.Trace.enable ();
+  Obs.Trace.clear ();
+  Fun.protect ~finally:Obs.Trace.disable @@ fun () ->
+  with_server (fun server ->
+      let conn = Serving.Server.connect (Serving.Server.address server) in
+      send (snd conn)
+        {
+          P.default_request with
+          id = "traced";
+          qasm = "OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[2];";
+          device = "linear-4";
+          timeout = 30.0;
+        };
+      (match recv (fst conn) with
+      | P.Ok_response _ -> ()
+      | _ -> Alcotest.fail "traced request failed");
+      Serving.Server.disconnect conn);
+  Alcotest.(check bool)
+    "service.request span recorded" true
+    (List.exists
+       (fun (e : Obs.Trace.event) -> e.name = "service.request")
+       (Obs.Trace.events ()));
+  Alcotest.(check bool)
+    "service.requests counted" true
+    (Obs.Metrics.value requests - before >= 1)
+
 let () =
   Alcotest.run "server"
     [
@@ -332,5 +363,7 @@ let () =
             test_server_bad_request_keeps_connection;
           Alcotest.test_case "stop is idempotent" `Quick
             test_server_stop_idempotent;
+          Alcotest.test_case "socket request is spanned and counted" `Quick
+            test_server_request_spanned_and_counted;
         ] );
     ]

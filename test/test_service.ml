@@ -461,8 +461,8 @@ let test_warm_pool () =
   let pool = Service.Warm.create ~capacity:2 () in
   let device = tokyo in
   let config = Satmap.Router.default_config in
-  let k1 = Service.Warm.key ~device ~config ~n_swaps:1 in
-  let k2 = Service.Warm.key ~device ~config ~n_swaps:2 in
+  let k1 = Service.Warm.key ~device ~config in
+  let k2 = Service.Warm.key ~device ~config:{ config with n_swaps = 2 } in
   Alcotest.(check bool) "swap budget is part of the key" false (k1 = k2);
   let misses () =
     Obs.Metrics.value (Obs.Metrics.counter "service.warm_misses")
@@ -532,6 +532,87 @@ let test_unknown_device_and_bad_qasm () =
   | _ -> Alcotest.fail "expected parse_error");
   Service.Engine.shutdown engine
 
+(* Request keys recorded before the CLI and the serve tier were merged
+   onto the engine registry: persisted [--cache-file] entries keep
+   hitting only while these stay byte-identical. *)
+let test_canonical_keys_pinned () =
+  let base =
+    {
+      Service.Protocol.default_request with
+      qasm =
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\nh q[0];\n\
+         cx q[0],q[1];\ncx q[1],q[2];\ncx q[2],q[3];\n";
+      device = "tokyo";
+      timeout = 10.0;
+    }
+  in
+  List.iter
+    (fun (name, req, expected) ->
+      match Service.Engine.canonical_key req with
+      | Ok key -> Alcotest.(check string) name expected key
+      | Error _ -> Alcotest.fail (name ^ ": request rejected"))
+    Service.Protocol.
+      [
+        ("sliced", { base with method_ = Sliced },
+         "532b6761043ea3580c1d2e55b44c9622");
+        ("sliced:10", { base with method_ = Sliced; slice_size = Some 10 },
+         "b7cfef0508aac6d709d1e539dc49ed00");
+        ("monolithic", { base with method_ = Monolithic },
+         "c5f4ca6b406f33697abe0e7d2663cae7");
+        ("cyclic", { base with method_ = Cyclic },
+         "1f109227d5bc49c3ac039bbba378d5e5");
+        ("cyclic:5", { base with method_ = Cyclic; slice_size = Some 5 },
+         "74f8419cc8cd901447917b8d746db4c0");
+        ("portfolio", { base with method_ = Portfolio },
+         "c9caf9cd1d9acaa7ecf795c336050d80");
+        ("sabre", { base with engine = "sabre" },
+         "bef8280a07972ca5810c1941f8705d4f");
+        ("noise, n=2", { base with noise = true; n_swaps = 2 },
+         "9630c40924f85de261fb8abc69f641e1");
+      ]
+
+(* The block cache, warm sessions and progress are MaxSAT hooks: a
+   heuristic engine's request must leave them untouched, and its reply
+   must not answer a later default-engine request for the same circuit. *)
+let test_hooks_stay_maxsat_only () =
+  let engine = Service.Engine.create ~workers:1 () in
+  let qasm =
+    Quantum.Qasm.to_string
+      (Quantum.Qasm.of_file "../examples/qasm/star_hub.qasm")
+  in
+  let req =
+    {
+      Service.Protocol.default_request with
+      id = "sabre";
+      qasm;
+      device = "tokyo";
+      engine = "sabre";
+      timeout = 30.0;
+    }
+  in
+  let bc = Service.Engine.block_cache engine in
+  let warm = Service.Engine.warm engine in
+  let parked = Service.Warm.parked warm in
+  let hits = Service.Block_cache.hits bc
+  and misses = Service.Block_cache.misses bc in
+  ignore (handle_ok engine req);
+  Alcotest.(check int) "no warm session parked" parked
+    (Service.Warm.parked warm);
+  Alcotest.(check int) "no block-cache hit" hits (Service.Block_cache.hits bc);
+  Alcotest.(check int) "no block-cache miss" misses
+    (Service.Block_cache.misses bc);
+  let p =
+    handle_ok engine
+      {
+        req with
+        id = "maxsat";
+        engine = Service.Protocol.default_request.engine;
+      }
+  in
+  Alcotest.(check bool) "default engine misses the sabre entry" false
+    p.ok_cache_hit;
+  Service.Engine.shutdown engine
+
 let () =
   Alcotest.run "service"
     [
@@ -585,5 +666,9 @@ let () =
           Alcotest.test_case "error responses" `Quick
             test_unknown_device_and_bad_qasm;
           Alcotest.test_case "warm session reuse" `Quick test_engine_warm_reuse;
+          Alcotest.test_case "request keys pinned" `Quick
+            test_canonical_keys_pinned;
+          Alcotest.test_case "hooks stay MaxSAT-only" `Quick
+            test_hooks_stay_maxsat_only;
         ] );
     ]
